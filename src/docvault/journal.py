@@ -22,6 +22,12 @@ from pathlib import Path
 from .errors import StorageFailure
 
 
+# _frame writes no whitespace around the JSON, so replay can skip what
+# json.loads adds per call (encoding detection, whitespace matching): a
+# third of replay time on these short lines.
+_decode = json.JSONDecoder().raw_decode
+
+
 def _frame(payload: dict) -> bytes:
     body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
     crc = zlib.crc32(body) & 0xFFFFFFFF
@@ -58,8 +64,11 @@ class JournalStore:
                 try:
                     if int(crc_hex, 16) != (zlib.crc32(body) & 0xFFFFFFFF):
                         break
-                    payload = json.loads(body)
-                except (ValueError, json.JSONDecodeError):
+                    text = body.decode("utf-8")
+                    payload, end = _decode(text)
+                except ValueError:  # JSONDecodeError and UnicodeDecodeError too
+                    break
+                if end != len(text):
                     break
                 if payload["op"] == "put":
                     self._data[payload["key"]] = payload["value"]

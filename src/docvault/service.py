@@ -165,13 +165,17 @@ class VaultCore:
         self,
         principal: Principal,
         doc_id: str,
-        byte_range: tuple[int, int] | None = None,
+        range_header: str | None = None,
     ) -> delivery.StreamResult:
+        """Lookup, then authorize, then parse the range, in that order.
+
+        A denied read fails as NotFound before the range is looked at, so a
+        range past the end of someone else's document cannot tell it apart
+        from a missing one.
+        """
         record, proof = self._authorized_record(principal, doc_id, Action.READ)
-        return delivery.stream_document(
-            record, self.vault_dir, proof, byte_range=byte_range,
-            download_name=record.original_filename,
-        )
+        byte_range = delivery.parse_range_header(range_header, record.size_bytes)
+        return delivery.stream_document(record, self.vault_dir, proof, byte_range)
 
     def list_documents(self, principal: Principal, cursor: str | None = None):
         if principal.role is Role.ADMIN:
@@ -196,16 +200,34 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
     server_version = "DocVault"
     protocol_version = "HTTP/1.1"
 
+    # No reply may wait on the client's delayed ACK, which Nagle's algorithm
+    # makes a second small write do: TCP_NODELAY on every accepted socket,
+    # and a buffered wfile, so that a small reply's status line, headers and
+    # body leave in one write when handle_one_request flushes it after the
+    # verb.  The buffer is one byte short of a chunk: a full download chunk
+    # is then larger than it and goes to the socket without being copied.
+    disable_nagle_algorithm = True
+    wbufsize = delivery.CHUNK_SIZE - 1
+
     # -- plumbing ---------------------------------------------------------
 
     def log_message(self, fmt, *args):  # keep test output quiet
         pass
 
-    def _send_json(self, status: int, payload: dict):
+    def handle_expect_100(self):
+        # The client waits for this interim reply before it sends the body,
+        # so it cannot sit in the buffer until the final reply.
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
+
+    def _send_json(self, status: int, payload: dict, close: bool = False):
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
         self.wfile.write(body)
 
@@ -239,39 +261,10 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
         self._send_json(404, {"error": "not found"})
 
     def do_POST(self):
-        if self._reject_bad_path():
-            return
-        url = urlsplit(self.path)
-        if url.path != "/documents":
-            self._send_json(404, {"error": "not found"})
-            return
-        principal = self._authenticate()
-        if principal is None:
-            self._send_json(401, {"error": "authentication required"})
-            return
-        query = parse_qs(url.query)
-        filename = (query.get("filename") or [""])[0] or self.headers.get("X-Filename", "")
-        if not filename:
-            self._send_json(400, {"error": "filename parameter required"})
-            return
-        try:
-            length = int(self.headers.get("Content-Length", ""))
-        except ValueError:
-            self._send_json(411, {"error": "length required"})
-            return
-        core: VaultCore = self.server.core
-        try:
-            record = core.upload(principal, filename, self.rfile, length)
-        except TooLarge:
-            self._send_json(413, {"error": "upload too large"})
-            return
-        except DuplicateOpaqueName:
-            self._send_json(409, {"error": "could not allocate a storage name"})
-            return
-        except IOError:
-            self._send_json(400, {"error": "truncated request body"})
-            return
-        self._send_json(201, record.public_dict())
+        status, payload = self._upload()
+        # Any reply but 201 may leave body bytes unread on the socket; closing
+        # keeps them from being parsed as the next request.
+        self._send_json(status, payload, close=status != 201)
 
     def do_DELETE(self):
         if self._reject_bad_path():
@@ -309,6 +302,38 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
             },
         )
 
+    def _upload(self) -> tuple[int, dict]:
+        if _has_traversal(self.path):
+            return 400, {"error": "invalid path"}
+        url = urlsplit(self.path)
+        if url.path != "/documents":
+            return 404, {"error": "not found"}
+        principal = self._authenticate()
+        if principal is None:
+            return 401, {"error": "authentication required"}
+        query = parse_qs(url.query)
+        filename = (query.get("filename") or [""])[0] or self.headers.get("X-Filename", "")
+        if not filename:
+            return 400, {"error": "filename parameter required"}
+        value = self.headers.get("Content-Length", "")
+        if value.startswith("-") and value[1:].isdecimal():
+            return 400, {"error": "negative Content-Length"}
+        if not value.isdecimal():
+            return 411, {"error": "length required"}
+        try:
+            length = int(value)
+        except ValueError:  # past int()'s digit limit, so past any upload limit
+            return 413, {"error": "upload too large"}
+        try:
+            record = self.server.core.upload(principal, filename, self.rfile, length)
+        except TooLarge:
+            return 413, {"error": "upload too large"}
+        except DuplicateOpaqueName:
+            return 409, {"error": "could not allocate a storage name"}
+        except IOError:
+            return 400, {"error": "truncated request body"}
+        return 201, record.public_dict()
+
     def _handle_download(self, url):
         principal = self._authenticate()
         if principal is None:
@@ -318,15 +343,10 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
         if "/" in doc_id:
             self._send_json(404, {"error": "not found"})
             return
-        core: VaultCore = self.server.core
         try:
-            record = core.records.get_by_id(doc_id)
-            if record is None:
-                raise NotFound(doc_id)
-            byte_range = delivery.parse_range_header(
-                self.headers.get("Range"), record.size_bytes
+            result = self.server.core.download(
+                principal, doc_id, self.headers.get("Range")
             )
-            result = core.download(principal, doc_id, byte_range)
         except NotFound:
             self._send_json(404, {"error": "not found"})
             return

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import threading
+import zlib
 
 import pytest
 
@@ -93,6 +94,21 @@ class TestDurability:
             s = MetadataStore(journal)
             for r in records:
                 assert s.get_by_id(r.doc_id) == r
+
+    @pytest.mark.parametrize("body", [
+        b'{"key":"b","op":"put","value":{}} {}', b"not json", b"\xff{}",
+    ])
+    def test_replay_ends_at_a_line_that_is_not_one_json_value(self, tmp_path, body):
+        path = tmp_path / "store.journal"
+        with JournalStore(path) as journal:
+            journal.put("a", {"n": 1})
+        later = b'{"key":"c","op":"put","value":{}}'
+        with open(path, "ab") as fh:
+            for line in (body, later):  # both carry a valid CRC
+                fh.write(b"%08x:%s\n" % (zlib.crc32(line), line))
+        with JournalStore(path) as journal:
+            assert journal.get("a") == {"n": 1}
+            assert journal.get("b") is None and journal.get("c") is None
 
     def test_delete_survives_reopen(self, tmp_path):
         path = tmp_path / "store.journal"

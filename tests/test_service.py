@@ -6,7 +6,7 @@ import pytest
 import requests
 
 from docvault.access import Role
-from docvault.service import extension_for
+from docvault.service import VaultRequestHandler, extension_for
 
 
 @pytest.fixture
@@ -350,3 +350,125 @@ class TestOpaqueNameScrubbing:
             assert vault_path.encode() not in blob_text
             for name in names:
                 assert name.encode() not in blob_text
+
+
+def raw_exchange(svc, request: bytes, timeout: float = 2.0) -> bytes:
+    """Send raw request bytes; read until the server closes or goes quiet."""
+    with socket.create_connection(svc.address, timeout=timeout) as sock:
+        sock.sendall(request)
+        raw = b""
+        try:
+            while chunk := sock.recv(65536):
+                raw += chunk
+        except (TimeoutError, ConnectionResetError):
+            pass
+    return raw
+
+
+def post_request(host_port, headers: dict, body: bytes = b"",
+                 target="/documents?filename=a.txt") -> bytes:
+    lines = [f"POST {target} HTTP/1.1", "Host: %s:%d" % host_port]
+    lines += [f"{k}: {v}" for k, v in headers.items()]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
+
+
+class TestDownloadOrder:
+    def test_denied_range_reads_as_missing(self, svc, user_token):
+        doc = upload(svc, user_token, "private.pdf", b"owner only").json()
+        _, other = svc.core.tokens.create_token("mallory", Role.USER)
+        missing = "0" * len(doc["doc_id"])
+
+        def reply(doc_id):
+            raw = raw_exchange(svc, (
+                f"GET /documents/{doc_id} HTTP/1.1\r\n"
+                f"Host: x\r\nAuthorization: Bearer {other}\r\n"
+                f"Range: bytes=999-\r\nConnection: close\r\n\r\n"
+            ).encode())
+            return [ln for ln in raw.split(b"\r\n") if not ln.startswith(b"Date: ")]
+
+        existing = reply(doc["doc_id"])
+        assert existing[0] == b"HTTP/1.1 404 Not Found"
+        assert existing == reply(missing)
+
+
+class TestEarlyUploadReplies:
+    """A reply sent before the body is read must not leave the body to be
+    parsed as a second request on the same connection."""
+
+    SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    @pytest.mark.parametrize("case,status", [
+        ("no-auth", 401), ("no-filename", 400), ("no-length", 411), ("too-large", 413),
+    ])
+    def test_one_response_then_close(self, svc, user_token, vault_config, case, status):
+        headers = {"Authorization": f"Bearer {user_token}",
+                   "Content-Length": str(len(self.SMUGGLED))}
+        target = "/documents?filename=a.txt"
+        if case == "no-auth":
+            del headers["Authorization"]
+        elif case == "no-filename":
+            target = "/documents"
+        elif case == "no-length":
+            del headers["Content-Length"]
+        else:
+            headers["Content-Length"] = str(vault_config.max_upload_bytes + 1)
+        raw = raw_exchange(svc, post_request(svc.address, headers, self.SMUGGLED, target))
+        assert raw.count(b"HTTP/1.1 ") == 1, raw
+        head = raw.split(b"\r\n\r\n", 1)[0].split(b"\r\n")
+        assert head[0].startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"Connection: close" in head
+
+    @pytest.mark.parametrize("value,status", [
+        ("-5", 400), ("abc", 411), ("1_0", 411), ("9" * 5000, 413),
+    ])
+    def test_bad_content_length_stores_nothing(self, svc, user_token, value, status):
+        headers = {"Authorization": f"Bearer {user_token}", "Content-Length": value}
+        raw = raw_exchange(svc, post_request(svc.address, headers, b"0123456789"))
+        assert raw.startswith(f"HTTP/1.1 {status} ".encode())
+        assert svc.core.records.list_all()[0] == []
+
+    def test_expect_continue_is_answered_before_the_body(self, svc, user_token):
+        headers = {"Authorization": f"Bearer {user_token}", "Content-Length": "5",
+                   "Expect": "100-continue", "Connection": "close"}
+        with socket.create_connection(svc.address, timeout=2) as sock:
+            sock.sendall(post_request(svc.address, headers))
+            assert sock.recv(65536).startswith(b"HTTP/1.1 100 Continue\r\n")
+            sock.sendall(b"hello")
+            assert sock.recv(65536).startswith(b"HTTP/1.1 201 ")
+
+
+class TestReplyPath:
+    """Replies never wait on the client's delayed ACK (Nagle's algorithm)."""
+
+    @pytest.fixture
+    def sends(self, monkeypatch):
+        """TCP_NODELAY of each accepted socket, and the bytes of every
+        send/sendall the handler makes on it."""
+        conns, nodelay, calls = [], [], []
+        setup = VaultRequestHandler.setup
+
+        def capturing_setup(handler):
+            setup(handler)
+            conns.append(handler.connection)
+            nodelay.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(VaultRequestHandler, "setup", capturing_setup)
+        for name in ("send", "sendall"):
+            def recording(sock, data, *args, _orig=getattr(socket.socket, name)):
+                if any(sock is c for c in conns):
+                    calls.append(bytes(data))
+                return _orig(sock, data, *args)
+
+            monkeypatch.setattr(socket.socket, name, recording)
+        return nodelay, calls
+
+    @pytest.mark.parametrize("path", ["/healthz", "/nope"])
+    def test_small_reply_is_one_send_with_nodelay(self, svc, sends, path):
+        nodelay, calls = sends
+        raw = raw_exchange(
+            svc, f"GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n".encode()
+        )
+        assert raw.startswith(b"HTTP/1.1 ")
+        assert len(nodelay) == 1 and nodelay[0] != 0
+        assert calls == [raw]
