@@ -31,6 +31,9 @@ from .metadata import check_consistency
 from .service import VaultCore, VaultService
 
 
+LS_PAGE_SIZE = 1000
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vault",
@@ -135,13 +138,16 @@ def cmd_ingest(args) -> int:
 
 def cmd_ls(args) -> int:
     core = _open_core(args)
-    if args.owner:
-        records, _ = core.records.list_by_owner(args.owner, page_size=10_000)
-    else:
-        records, _ = core.records.list_all(page_size=10_000)
-    for r in records:
-        print(f"{r.doc_id}  {r.owner:<16} {r.size_bytes:>10}  {r.original_filename}")
-    return 0
+    cursor = None
+    while True:
+        if args.owner:
+            records, cursor = core.records.list_by_owner(args.owner, cursor, LS_PAGE_SIZE)
+        else:
+            records, cursor = core.records.list_all(cursor, LS_PAGE_SIZE)
+        for r in records:
+            print(f"{r.doc_id}  {r.owner:<16} {r.size_bytes:>10}  {r.original_filename}")
+        if cursor is None:
+            return 0
 
 
 def cmd_get(args) -> int:

@@ -46,6 +46,10 @@ class NotFound(VaultError):
     """No record matches the given identifier."""
 
 
+class InvalidCursor(VaultError):
+    """A listing cursor names no live record of that listing."""
+
+
 class TooLarge(VaultError):
     """Upload exceeds the configured size limit."""
 

@@ -7,8 +7,10 @@ Single-file, crash-safe key/value log.  Each line is one mutation:
 where the payload is {"op": "put"|"del", "key": ..., "value": ...}.  On
 open the whole file is replayed into an in-memory dict; a torn or corrupt
 tail line (the only corruption a crashed append can leave) ends the replay,
-so every acknowledged write before it survives.  Writes fsync before
-returning.
+so every acknowledged write before it survives.  That line and anything
+after it are cut off the file before the next append, which would
+otherwise be glued onto the fragment and lost at the next replay.  Writes
+fsync before returning.
 """
 
 from __future__ import annotations
@@ -48,12 +50,18 @@ class JournalStore:
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             if self.path.exists():
-                self._replay()
+                good = self._replay()
+                if good < self.path.stat().st_size:
+                    with open(self.path, "r+b") as fh:
+                        fh.truncate(good)
+                        os.fsync(fh.fileno())
             self._fh = open(self.path, "ab")
         except OSError as e:
             raise StorageFailure(f"cannot open store {self.path}: {e}")
 
-    def _replay(self):
+    def _replay(self) -> int:
+        """Apply each line before the first bad one; return the offset where they end."""
+        good = 0
         with open(self.path, "rb") as fh:
             for line in fh:
                 if not line.endswith(b"\n"):
@@ -74,6 +82,8 @@ class JournalStore:
                     self._data[payload["key"]] = payload["value"]
                 elif payload["op"] == "del":
                     self._data.pop(payload["key"], None)
+                good += len(line)
+        return good
 
     def _append(self, payload: dict):
         frame = _frame(payload)
@@ -100,6 +110,10 @@ class JournalStore:
     def get(self, key: str) -> dict | None:
         with self._lock:
             return self._data.get(key)
+
+    def get_many(self, keys) -> list[dict | None]:
+        with self._lock:
+            return [self._data.get(k) for k in keys]
 
     def items(self, prefix: str = "") -> list[tuple[str, dict]]:
         with self._lock:

@@ -11,10 +11,11 @@ from __future__ import annotations
 import hashlib
 import secrets
 import threading
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
-from .errors import DuplicateOpaqueName, StorageFailure
+from .errors import DuplicateOpaqueName, InvalidCursor, StorageFailure
 from .journal import JournalStore
 from .naming import OpaqueName
 from .placement import DENY_CONFIG_NAME, INDEX_PLACEHOLDER_NAME, PlacementPolicy
@@ -77,13 +78,26 @@ class MetadataStore:
 
     Uniqueness of doc_id and opaque_name is enforced under the journal's
     lock, so concurrent puts cannot both claim the same name.
+
+    Listings page through a keyset index: the sorted (upload_timestamp,
+    doc_id) keys of all records and of each owner's, kept current under the
+    same lock.  A page is a bisect and a slice, and only the rows returned
+    are decoded.
     """
 
     def __init__(self, journal: JournalStore):
         self._journal = journal
         self._by_name: dict[str, str] = {}  # rendered opaque name -> doc_id
-        for key, value in journal.items(_DOC_PREFIX):
+        self._keys: list[tuple[int, str]] = []
+        self._keys_by_owner: dict[str, list[tuple[int, str]]] = {}
+        for _, value in journal.items(_DOC_PREFIX):
             self._by_name[value["opaque_name"]] = value["doc_id"]
+            key = (value["upload_timestamp"], value["doc_id"])
+            self._keys.append(key)
+            self._keys_by_owner.setdefault(value["owner"], []).append(key)
+        self._keys.sort()
+        for keys in self._keys_by_owner.values():
+            keys.sort()
 
     @property
     def lock(self) -> threading.RLock:
@@ -91,6 +105,7 @@ class MetadataStore:
 
     def put_record(self, record: DocumentRecord) -> str:
         rendered = record.opaque_name.render()
+        key = (record.upload_timestamp, record.doc_id)
         with self._journal.lock:
             if rendered in self._by_name:
                 raise DuplicateOpaqueName(rendered)
@@ -98,6 +113,8 @@ class MetadataStore:
                 raise StorageFailure(f"doc_id collision: {record.doc_id}")
             self._journal.put(_DOC_PREFIX + record.doc_id, record.to_dict())
             self._by_name[rendered] = record.doc_id
+            insort(self._keys, key)
+            insort(self._keys_by_owner.setdefault(record.owner, []), key)
         return record.doc_id
 
     def get_by_id(self, doc_id: str) -> DocumentRecord | None:
@@ -111,18 +128,35 @@ class MetadataStore:
     def list_by_owner(
         self, owner: str, cursor: str | None = None, page_size: int = DEFAULT_PAGE_SIZE
     ) -> tuple[list[DocumentRecord], str | None]:
-        records = [
-            DocumentRecord.from_dict(v)
-            for _, v in self._journal.items(_DOC_PREFIX)
-            if v["owner"] == owner
-        ]
-        return _paginate(records, cursor, page_size)
+        """One page of the owner's records in (upload_timestamp, doc_id) order.
+
+        ``cursor`` is the doc_id of the last row of the previous page; it
+        must name a live record of this owner, or InvalidCursor is raised.
+        """
+        return self._page(owner, cursor, page_size)
 
     def list_all(
         self, cursor: str | None = None, page_size: int = DEFAULT_PAGE_SIZE
     ) -> tuple[list[DocumentRecord], str | None]:
-        records = [DocumentRecord.from_dict(v) for _, v in self._journal.items(_DOC_PREFIX)]
-        return _paginate(records, cursor, page_size)
+        """As list_by_owner, over every record; any live doc_id is a cursor."""
+        return self._page(None, cursor, page_size)
+
+    def _page(
+        self, owner: str | None, cursor: str | None, page_size: int
+    ) -> tuple[list[DocumentRecord], str | None]:
+        with self._journal.lock:
+            keys = self._keys if owner is None else self._keys_by_owner.get(owner, [])
+            start = 0
+            if cursor:
+                value = self._journal.get(_DOC_PREFIX + cursor)
+                # Missing, deleted and foreign cursors fail alike: no existence oracle.
+                if value is None or (owner is not None and value["owner"] != owner):
+                    raise InvalidCursor(cursor)
+                start = bisect_right(keys, (value["upload_timestamp"], cursor))
+            page = keys[start : start + page_size]
+            values = self._journal.get_many([_DOC_PREFIX + doc_id for _, doc_id in page])
+            next_cursor = page[-1][1] if start + page_size < len(keys) else None
+        return [DocumentRecord.from_dict(v) for v in values], next_cursor
 
     def delete_record(self, doc_id: str) -> bool:
         with self._journal.lock:
@@ -131,24 +165,13 @@ class MetadataStore:
                 return False
             self._journal.delete(_DOC_PREFIX + doc_id)
             self._by_name.pop(record.opaque_name.render(), None)
+            key = (record.upload_timestamp, doc_id)
+            owned = self._keys_by_owner[record.owner]
+            for keys in (self._keys, owned):
+                del keys[bisect_left(keys, key)]
+            if not owned:
+                del self._keys_by_owner[record.owner]
             return True
-
-
-def _paginate(
-    records: list[DocumentRecord], cursor: str | None, page_size: int
-) -> tuple[list[DocumentRecord], str | None]:
-    records.sort(key=lambda r: (r.upload_timestamp, r.doc_id))
-    start = 0
-    if cursor:
-        for i, r in enumerate(records):
-            if r.doc_id == cursor:
-                start = i + 1
-                break
-        else:
-            return [], None
-    page = records[start : start + page_size]
-    next_cursor = page[-1].doc_id if len(page) == page_size and start + page_size < len(records) else None
-    return page, next_cursor
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .config import ServiceConfig
 from .errors import (
     BlobMissing,
     DuplicateOpaqueName,
+    InvalidCursor,
     NotFound,
     RangeNotSatisfiable,
     TooLarge,
@@ -209,6 +210,11 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
     wbufsize = delivery.CHUNK_SIZE - 1
 
+    # Set by do_GET/do_DELETE when the request carries a body they never
+    # read: the reply then closes the connection, so the body is not parsed
+    # as the next request.
+    unread_body = False
+
     # -- plumbing ---------------------------------------------------------
 
     def log_message(self, fmt, *args):  # keep test output quiet
@@ -226,7 +232,7 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        if close:
+        if close or self.unread_body:
             self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
         self.wfile.write(body)
@@ -237,6 +243,11 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
             return None
         return self.server.core.tokens.authenticate(token)
 
+    def _has_body(self) -> bool:
+        # Any Content-Length but zero ("0", "00", ...) announces body bytes.
+        length = self.headers.get("Content-Length", "")
+        return "Transfer-Encoding" in self.headers or bool(length.strip("0"))
+
     def _reject_bad_path(self) -> bool:
         if _has_traversal(self.path):
             self._send_json(400, {"error": "invalid path"})
@@ -246,6 +257,7 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
     # -- verbs ------------------------------------------------------------
 
     def do_GET(self):
+        self.unread_body = self._has_body()
         if self._reject_bad_path():
             return
         url = urlsplit(self.path)
@@ -267,6 +279,7 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
         self._send_json(status, payload, close=status != 201)
 
     def do_DELETE(self):
+        self.unread_body = self._has_body()
         if self._reject_bad_path():
             return
         url = urlsplit(self.path)
@@ -293,7 +306,11 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
             self._send_json(401, {"error": "authentication required"})
             return
         cursor = (parse_qs(url.query).get("cursor") or [None])[0]
-        records, next_cursor = self.server.core.list_documents(principal, cursor)
+        try:
+            records, next_cursor = self.server.core.list_documents(principal, cursor)
+        except InvalidCursor:
+            self._send_json(400, {"error": "invalid cursor"})
+            return
         self._send_json(
             200,
             {
@@ -363,6 +380,8 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         if result.content_range:
             self.send_header("Content-Range", result.content_range)
+        if self.unread_body:
+            self.send_header("Connection", "close")
         self.end_headers()
         try:
             for chunk in result.chunks():

@@ -1,12 +1,14 @@
 import hashlib
 import re
+from unittest import mock
 
 import pytest
 
 from docvault.cli import main
 from docvault.journal import JournalStore
-from docvault.metadata import MetadataStore
-from docvault.placement import emit_deny_config
+from docvault.metadata import DocumentRecord, MetadataStore
+from docvault.naming import OpaqueName
+from docvault.placement import PlacementPolicy, emit_deny_config
 
 from conftest import StaticFixtureServer
 
@@ -24,6 +26,20 @@ def env(tmp_path, monkeypatch):
     monkeypatch.setenv("VAULT_STORE", str(tmp_path / "store.journal"))
     monkeypatch.delenv("VAULT_KEY", raising=False)
     return tmp_path
+
+
+def _record(i: int, owner: str) -> DocumentRecord:
+    return DocumentRecord(
+        doc_id=f"d{i:06d}",
+        owner=owner,
+        original_filename=f"{i}.pdf",
+        media_type="application/pdf",
+        size_bytes=1,
+        upload_timestamp=1_000_000 + i,
+        opaque_name=OpaqueName(hashlib.md5(b"%d" % i).hexdigest(), "pdf"),
+        checksum="0" * 64,
+        policy=PlacementPolicy.DENIED_SUBDIR,
+    )
 
 
 class TestInit:
@@ -77,6 +93,22 @@ class TestIngestLsGetRm:
         main(["ls", "--owner", "bob"])
         out = capsys.readouterr().out
         assert "b.txt" in out and "a.txt" not in out
+
+    def test_ls_walks_every_page(self, env, capsys):
+        main(["init"])
+        # more records than the 10,000 one page once held; no blobs needed
+        with mock.patch("os.fsync"), JournalStore(env / "store.journal") as journal:
+            store = MetadataStore(journal)
+            for i in range(10_001):
+                store.put_record(_record(i, "alice"))
+            store.put_record(_record(10_001, "bob"))
+        capsys.readouterr()
+        assert main(["ls", "--owner", "alice"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 10_001
+        assert [ln.split()[0] for ln in lines] == [_record(i, "alice").doc_id for i in range(10_001)]
+        assert main(["ls"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 10_002
 
     def test_ingest_missing_file(self, env, capsys):
         main(["init"])

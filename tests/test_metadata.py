@@ -1,11 +1,17 @@
 import hashlib
 import random
+import sys
+import tempfile
 import threading
 import zlib
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from docvault.errors import DuplicateOpaqueName
+from docvault.errors import DuplicateOpaqueName, InvalidCursor
 from docvault.journal import JournalStore
 from docvault.metadata import (
     ConsistencyIssue,
@@ -110,6 +116,21 @@ class TestDurability:
             assert journal.get("a") == {"n": 1}
             assert journal.get("b") is None and journal.get("c") is None
 
+    def test_write_after_torn_tail_survives_kill_and_reopen(self, tmp_path):
+        path = tmp_path / "store.journal"
+        with JournalStore(path) as journal:
+            journal.put("a", {"n": 1})
+        good_size = path.stat().st_size
+        # killed mid-append: the frame's first bytes reached the file
+        with open(path, "ab") as fh:
+            fh.write(b'deadbeef:{"op":"put","key":"torn')
+        with JournalStore(path) as journal:
+            assert path.stat().st_size == good_size  # fragment cut off before appending
+            journal.put("b", {"n": 2})
+        with JournalStore(path) as journal:
+            assert journal.get("a") == {"n": 1}
+            assert journal.get("b") == {"n": 2}
+
     def test_delete_survives_reopen(self, tmp_path):
         path = tmp_path / "store.journal"
         record = make_record()
@@ -154,6 +175,167 @@ class TestListing:
         oracle = sorted(all_records, key=lambda r: (r.upload_timestamp, r.doc_id))
         assert n_pages == 3
         assert pages == oracle
+
+    @pytest.mark.parametrize("kind", ["never-existed", "other-owner", "deleted"])
+    def test_cursor_outside_the_listing_is_invalid(self, store, kind):
+        mine = [make_record(i, owner="alice") for i in range(5)]
+        for r in mine:
+            store.put_record(r)
+        theirs = make_record(9, owner="bob")
+        store.put_record(theirs)
+        cursor = {"never-existed": new_doc_id(), "other-owner": theirs.doc_id,
+                  "deleted": mine[1].doc_id}[kind]
+        page, _ = store.list_by_owner("alice", page_size=2)
+        if kind == "deleted":
+            assert page[-1].doc_id == cursor
+            store.delete_record(cursor)
+        with pytest.raises(InvalidCursor):
+            store.list_by_owner("alice", cursor=cursor, page_size=2)
+
+    def test_list_all_takes_any_live_record_as_cursor(self, store):
+        records = [make_record(i, owner=o) for i, o in enumerate(["a", "b", "a", "b"])]
+        for r in records:
+            store.put_record(r)
+        assert store.list_all(cursor=records[1].doc_id) == (records[2:], None)
+        store.delete_record(records[1].doc_id)
+        for cursor in (records[1].doc_id, new_doc_id()):
+            with pytest.raises(InvalidCursor):
+                store.list_all(cursor=cursor)
+
+
+OWNERS = ("alice", "bob", "carol")
+# ("put", owner, timestamp) or ("del", index into the records put so far)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.sampled_from(OWNERS), st.integers(0, 15)),
+        st.tuples(st.just("del"), st.integers(0, 1 << 16)),
+    ),
+    max_size=40,
+)
+
+
+def _walk(list_page, page_size: int) -> list[DocumentRecord]:
+    rows, cursor = [], None
+    while True:
+        page, cursor = list_page(cursor, page_size)
+        assert len(page) <= page_size
+        rows += page
+        if cursor is None:
+            return rows
+        assert cursor == page[-1].doc_id
+
+
+def _check_listings(store, live: dict, put: list, page_size: int):
+    """Every walk and every cursor agree with the (upload_timestamp, doc_id) sort."""
+    oracle = sorted(live.values(), key=lambda r: (r.upload_timestamp, r.doc_id))
+    listings = [(None, lambda c, n: store.list_all(c, n), oracle)]
+    for owner in OWNERS:
+        listings.append((owner, lambda c, n, o=owner: store.list_by_owner(o, c, n),
+                         [r for r in oracle if r.owner == owner]))
+    for owner, list_page, expected in listings:
+        assert _walk(list_page, page_size) == expected
+        for r in put:
+            if r.doc_id in live and owner in (None, r.owner):
+                after = expected[expected.index(r) + 1:]
+                cursor = after[page_size - 1].doc_id if len(after) > page_size else None
+                assert list_page(r.doc_id, page_size) == (after[:page_size], cursor)
+            else:
+                with pytest.raises(InvalidCursor):
+                    list_page(r.doc_id, page_size)
+
+
+class TestKeysetIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_OPS, page_size=st.integers(1, 6))
+    def test_walks_match_sort_oracle_before_and_after_reopen(self, ops, page_size):
+        live: dict[str, DocumentRecord] = {}
+        put: list[DocumentRecord] = []
+        # durability is not under test here; each fsync would cost milliseconds
+        with tempfile.TemporaryDirectory() as tmp, mock.patch("os.fsync"):
+            path = Path(tmp) / "store.journal"
+            with JournalStore(path) as journal:
+                store = MetadataStore(journal)
+                for op in ops:
+                    if op[0] == "put":
+                        i = len(put)
+                        r = make_record(i, owner=op[1], upload_timestamp=op[2],
+                                        doc_id="d" + hashlib.md5(b"%d" % i).hexdigest()[:8])
+                        store.put_record(r)
+                        live[r.doc_id] = r
+                        put.append(r)
+                    elif put:
+                        r = put[op[1] % len(put)]
+                        assert store.delete_record(r.doc_id) == (r.doc_id in live)
+                        live.pop(r.doc_id, None)
+                _check_listings(store, live, put, page_size)
+            with JournalStore(path) as journal:
+                _check_listings(MetadataStore(journal), live, put, page_size)
+
+
+class TestConcurrentIndex:
+    def test_walks_and_index_hold_under_concurrent_writes(self, store, monkeypatch):
+        monkeypatch.setattr("os.fsync", lambda fd: None)  # churn, not durability
+        stable = [make_record(i, owner="stable") for i in range(0, 3000, 100)]
+        for r in stable:
+            store.put_record(r)
+        kept, errors, done = [], [], threading.Event()
+
+        def churn(owner):
+            # puts at random timestamps among the stable rows, and deletes a
+            # random live one, so walks meet cursors deleted between pages
+            rng, live, n = random.Random(owner), [], 0
+            try:
+                while not done.is_set():
+                    r = make_record(n, owner=owner, upload_timestamp=1_000_000 + rng.randrange(3000))
+                    store.put_record(r)
+                    live.append(r)
+                    n += 1
+                    if len(live) > 20:
+                        assert store.delete_record(live.pop(rng.randrange(len(live))).doc_id)
+            except Exception as e:  # reported by the main thread
+                errors.append(e)
+            kept.extend(live)
+
+        def walk():
+            try:
+                for _ in range(30):
+                    rows, cursor = [], None
+                    try:
+                        while True:
+                            page, cursor = store.list_all(cursor, 4)
+                            rows += page
+                            if cursor is None:
+                                break
+                    except InvalidCursor:
+                        continue  # its cursor row was deleted: start over
+                    keys = [(r.upload_timestamp, r.doc_id) for r in rows]
+                    assert keys == sorted(keys)
+                    # an early end at a deleted cursor would miss some of these
+                    assert set(stable) <= set(rows)
+            except Exception as e:
+                errors.append(e)
+
+        churners = [threading.Thread(target=churn, args=(f"c{k}",)) for k in range(4)]
+        walkers = [threading.Thread(target=walk) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in churners + walkers:
+                t.start()
+            for t in walkers:
+                t.join(timeout=60)
+            done.set()
+            for t in churners:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in churners + walkers)
+        assert errors == []
+        oracle = sorted(stable + kept, key=lambda r: (r.upload_timestamp, r.doc_id))
+        assert _walk(lambda c, n: store.list_all(c, n), 7) == oracle
+        for owner in ["stable", "c0", "c3"]:
+            assert _walk(lambda c, n: store.list_by_owner(owner, c, n), 7) == [
+                r for r in oracle if r.owner == owner]
 
 
 class TestDelete:

@@ -254,6 +254,39 @@ class TestListDelete:
         assert not blob.exists()
 
 
+class TestListCursor:
+    def test_stale_and_foreign_cursors_get_one_identical_reply(self, svc, user_token,
+                                                               admin_token):
+        mine = [upload(svc, user_token, f"{i}.pdf", b"x").json() for i in range(3)]
+        _, bob = svc.core.tokens.create_token("bob", Role.USER)
+        theirs = upload(svc, bob, "b.pdf", b"y").json()
+
+        def page(token, cursor):
+            return requests.get(f"{svc.base_url}/documents", params={"cursor": cursor},
+                                headers=auth(token)).json()
+
+        # each upload of one owner and extension takes a later second
+        assert page(user_token, mine[0]["doc_id"]) == {"documents": mine[1:], "next_cursor": None}
+        # an admin's cursor may name any live record
+        everyone = sorted(mine + [theirs], key=lambda d: (d["upload_timestamp"], d["doc_id"]))
+        assert page(admin_token, everyone[0]["doc_id"]) == {"documents": everyone[1:],
+                                                            "next_cursor": None}
+        requests.delete(f"{svc.base_url}/documents/{mine[0]['doc_id']}", headers=auth(user_token))
+
+        def reply(cursor):
+            raw = raw_exchange(svc, (
+                f"GET /documents?cursor={cursor} HTTP/1.1\r\nHost: x\r\n"
+                f"Authorization: Bearer {user_token}\r\nConnection: close\r\n\r\n"
+            ).encode())
+            return [ln for ln in raw.split(b"\r\n") if not ln.startswith(b"Date: ")]
+
+        never = reply("d" + "0" * 24)
+        assert never[0] == b"HTTP/1.1 400 Bad Request"
+        assert never[-1] == b'{"error": "invalid cursor"}'
+        assert reply(theirs["doc_id"]) == never
+        assert reply(mine[0]["doc_id"]) == never
+
+
 class TestStaticIsolation:
     def test_direct_blob_path_404(self, svc, user_token):
         doc = upload(svc, user_token, "x.pdf", b"%PDF-1.4 secret").json()
@@ -472,3 +505,34 @@ class TestReplyPath:
         assert raw.startswith(b"HTTP/1.1 ")
         assert len(nodelay) == 1 and nodelay[0] != 0
         assert calls == [raw]
+
+
+class TestBodyOnGetAndDelete:
+    """A GET or DELETE body is never read, so it must not be parsed as the
+    next request on the connection: the reply closes the connection.  A
+    zero Content-Length announces no body and keeps it open."""
+
+    SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    @pytest.mark.parametrize("framing", ["Content-Length", "Transfer-Encoding"])
+    @pytest.mark.parametrize("route", ["healthz", "list", "download", "delete", "missing"])
+    def test_one_response_then_close(self, svc, user_token, route, framing):
+        doc = upload(svc, user_token, "a.txt", b"plain text").json()
+        method, target = {
+            "healthz": ("GET", "/healthz"),
+            "list": ("GET", "/documents"),
+            "download": ("GET", f"/documents/{doc['doc_id']}"),
+            "delete": ("DELETE", f"/documents/{doc['doc_id']}"),
+            "missing": ("DELETE", "/documents/dmissing"),
+        }[route]
+        framing_header = (f"Content-Length: {len(self.SMUGGLED)}"
+                          if framing == "Content-Length" else "Transfer-Encoding: chunked")
+        raw = raw_exchange(svc, (
+            "GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
+            f"{method} {target} HTTP/1.1\r\nHost: x\r\n"
+            f"Authorization: Bearer {user_token}\r\n{framing_header}\r\n\r\n"
+        ).encode() + self.SMUGGLED)
+        replies = raw.split(b"HTTP/1.1 ")[1:]
+        assert len(replies) == 2, raw
+        assert b"Connection: close" not in replies[0]
+        assert b"Connection: close" in replies[1].split(b"\r\n\r\n", 1)[0]
