@@ -153,8 +153,7 @@ def cmd_ls(args) -> int:
 def cmd_get(args) -> int:
     core = _open_core(args)
     result = core.download(_operator(), args.doc_id)
-    record = core.records.get_by_id(args.doc_id)
-    out = Path(args.output or record.original_filename)
+    out = Path(args.output or result.record.original_filename)
     with open(out, "wb") as fh:
         for chunk in result.chunks():
             fh.write(chunk)

@@ -2,9 +2,10 @@
 
 A protected document is never handed to a web server as a static file.
 The application opens the blob itself, builds the response headers
-(Content-Type, Content-Length, Accept-Ranges, Content-Disposition) and
-streams the content in bounded-size chunks.  Single byte ranges are
-honored so the advertised ``Accept-Ranges: bytes`` is truthful.
+(Content-Type, Content-Length, Accept-Ranges, Content-Disposition, and
+Content-Range on a 206) and streams the content in bounded-size chunks.
+Single byte ranges are honored so the advertised ``Accept-Ranges: bytes``
+is truthful.
 """
 
 from __future__ import annotations
@@ -45,34 +46,26 @@ _MAGIC_TYPES = [
 _DISPOSITION_FORBIDDEN = set('"\r\n/\\')
 
 
-@dataclass(frozen=True)
-class DeliveryHeaders:
-    content_type: str
-    content_length: int
-    accept_ranges: str
-    content_disposition: str
-
-    def as_pairs(self) -> list[tuple[str, str]]:
-        return [
-            ("Content-Type", self.content_type),
-            ("Content-Length", str(self.content_length)),
-            ("Accept-Ranges", self.accept_ranges),
-            ("Content-Disposition", self.content_disposition),
-        ]
-
-
 def sanitize_download_name(name: str) -> str:
     return "".join(c for c in name if c not in _DISPOSITION_FORBIDDEN)
 
 
-def build_headers(record: DocumentRecord, download_name: str) -> DeliveryHeaders:
-    """Headers for a whole-file download of this record."""
-    return DeliveryHeaders(
-        content_type=record.media_type,
-        content_length=record.size_bytes,
-        accept_ranges="bytes",
-        content_disposition=f'attachment; filename="{sanitize_download_name(download_name)}"',
-    )
+def build_headers(
+    record: DocumentRecord, length: int, content_range: str | None
+) -> list[tuple[str, str]]:
+    """The one delivery header set, in the order it is sent: ``length``
+    octets of this record, which are a part of it exactly when
+    ``content_range`` is given."""
+    name = sanitize_download_name(record.original_filename)
+    headers = [
+        ("Content-Type", record.media_type),
+        ("Content-Length", str(length)),
+        ("Accept-Ranges", "bytes"),
+        ("Content-Disposition", f'attachment; filename="{name}"'),
+    ]
+    if content_range:
+        headers.append(("Content-Range", content_range))
+    return headers
 
 
 def detect_media_type(original_filename: str, sniff: bytes = b"") -> str:
@@ -101,12 +94,11 @@ class StreamResult:
     """One prepared response: status, headers, and a chunk iterator."""
 
     status: int  # 200 whole file, 206 partial
-    headers: DeliveryHeaders
-    content_range: str | None
+    headers: list[tuple[str, str]]
+    record: DocumentRecord
     offset: int
     length: int
     _path: Path
-    chunk_size: int = CHUNK_SIZE
 
     def chunks(self) -> Iterator[bytes]:
         """Yield exactly `length` octets starting at `offset`.
@@ -119,13 +111,19 @@ class StreamResult:
         with open(self._path, "rb") as fh:
             fh.seek(self.offset)
             while remaining > 0:
-                chunk = fh.read(min(self.chunk_size, remaining))
+                chunk = fh.read(min(CHUNK_SIZE, remaining))
                 if not chunk:
                     raise BlobMissing(
                         f"blob truncated while streaming: {self._path.name}"
                     )
                 remaining -= len(chunk)
                 yield chunk
+
+
+def is_digits(value: str) -> bool:
+    """ASCII digits only.  int() alone also takes a sign, surrounding
+    spaces, underscores and non-ASCII digits."""
+    return value.isascii() and value.isdigit()
 
 
 def parse_range_header(value: str | None, size: int) -> tuple[int, int] | None:
@@ -140,8 +138,8 @@ def parse_range_header(value: str | None, size: int) -> tuple[int, int] | None:
     unit, _, spec = value.partition("=")
     if unit.strip() != "bytes" or "," in spec:
         return None
-    start_s, sep, end_s = spec.strip().partition("-")
-    if not sep:
+    start_s, sep, end_s = spec.partition("-")
+    if not sep or not is_digits(start_s + end_s):
         return None
     try:
         if start_s == "":
@@ -152,9 +150,9 @@ def parse_range_header(value: str | None, size: int) -> tuple[int, int] | None:
             return max(0, size - n), size - 1
         start = int(start_s)
         end = int(end_s) if end_s else size - 1
-    except ValueError:
+    except ValueError:  # past int()'s digit limit
         return None
-    if start < 0 or (end_s and end < start):
+    if end_s and end < start:
         return None
     if start >= size:
         raise RangeNotSatisfiable(value)
@@ -166,8 +164,6 @@ def stream_document(
     vault_dir: str | Path,
     authz_proof: AccessProof,
     byte_range: tuple[int, int] | None = None,
-    download_name: str | None = None,
-    chunk_size: int = CHUNK_SIZE,
 ) -> StreamResult:
     """Prepare the mediated response for one record.
 
@@ -187,26 +183,16 @@ def stream_document(
     except FileNotFoundError:
         raise BlobMissing(f"no blob for document {record.doc_id}")
 
-    name = download_name if download_name is not None else record.original_filename
     if byte_range is None:
-        headers = build_headers(record, name)
-        return StreamResult(
-            status=200, headers=headers, content_range=None,
-            offset=0, length=size, _path=path, chunk_size=chunk_size,
-        )
-
-    start, end = byte_range
-    if start >= size:
-        raise RangeNotSatisfiable(f"range start {start} >= blob size {size}")
-    end = min(end, size - 1)
-    length = end - start + 1
-    headers = DeliveryHeaders(
-        content_type=record.media_type,
-        content_length=length,
-        accept_ranges="bytes",
-        content_disposition=f'attachment; filename="{sanitize_download_name(name)}"',
-    )
+        start, length, content_range = 0, size, None
+    else:
+        start, end = byte_range
+        if start >= size:
+            raise RangeNotSatisfiable(f"range start {start} >= blob size {size}")
+        end = min(end, size - 1)
+        length, content_range = end - start + 1, f"bytes {start}-{end}/{size}"
     return StreamResult(
-        status=206, headers=headers, content_range=f"bytes {start}-{end}/{size}",
-        offset=start, length=length, _path=path, chunk_size=chunk_size,
+        status=200 if content_range is None else 206,
+        headers=build_headers(record, length, content_range),
+        record=record, offset=start, length=length, _path=path,
     )

@@ -54,6 +54,10 @@ class TooLarge(VaultError):
     """Upload exceeds the configured size limit."""
 
 
+class TruncatedBody(VaultError):
+    """An upload's content ended before its declared length."""
+
+
 class BlobMissing(VaultError):
     """A record exists but its blob file is gone (integrity fault)."""
 

@@ -160,17 +160,17 @@ class MetadataStore:
 
     def delete_record(self, doc_id: str) -> bool:
         with self._journal.lock:
-            record = self.get_by_id(doc_id)
-            if record is None:
+            value = self._journal.get(_DOC_PREFIX + doc_id)
+            if value is None:
                 return False
             self._journal.delete(_DOC_PREFIX + doc_id)
-            self._by_name.pop(record.opaque_name.render(), None)
-            key = (record.upload_timestamp, doc_id)
-            owned = self._keys_by_owner[record.owner]
+            self._by_name.pop(value["opaque_name"], None)
+            key = (value["upload_timestamp"], doc_id)
+            owned = self._keys_by_owner[value["owner"]]
             for keys in (self._keys, owned):
                 del keys[bisect_left(keys, key)]
             if not owned:
-                del self._keys_by_owner[record.owner]
+                del self._keys_by_owner[value["owner"]]
             return True
 
 
@@ -193,14 +193,11 @@ def sha256_file(path: Path, chunk_size: int = 1 << 16) -> str:
     return h.hexdigest()
 
 
-def check_consistency(
-    store: MetadataStore, vault_dir: str | Path, verify_checksums: bool = True
-) -> list[ConsistencyIssue]:
+def check_consistency(store: MetadataStore, vault_dir: str | Path) -> list[ConsistencyIssue]:
     """Referential sweep between the record store and the blob directory.
 
-    Every record must resolve to a blob of matching size (and checksum when
-    requested); every non-artifact file in the vault must have exactly one
-    record.
+    Every record must resolve to a blob of matching size and checksum;
+    every non-artifact file in the vault must have exactly one record.
     """
     vault = Path(vault_dir)
     issues: list[ConsistencyIssue] = []
@@ -227,7 +224,7 @@ def check_consistency(
                         f"record says {record.size_bytes} bytes, blob has {actual_size}",
                     )
                 )
-            elif verify_checksums and sha256_file(blob) != record.checksum:
+            elif sha256_file(blob) != record.checksum:
                 issues.append(
                     ConsistencyIssue(
                         "checksum-mismatch", record.doc_id, str(blob), "sha256 differs from record"

@@ -129,24 +129,18 @@ class NameClass(enum.Enum):
     OTHER = "other"
 
 
-def derive_opaque_name(
-    inputs: NameInputs, key: SecretKey, digest: str = "md5"
-) -> OpaqueName:
+def derive_opaque_name(inputs: NameInputs, key: SecretKey) -> OpaqueName:
     """Derive the deterministic storage name for one upload.
 
-    The digest input is the raw octet concatenation
-    ``username || decimal(timestamp) || key`` with no separators.  MD5 is the
-    default because its 32-hex output is the canonical name format; a longer
-    algorithm can be plugged in via ``digest`` (the hex output is truncated
-    to 32 chars to keep the name format stable).
+    The name's 32 hex chars are the MD5 of the raw octet concatenation
+    ``username || decimal(timestamp) || key``, with no separators.
     """
     material = (
         inputs.username.encode("utf-8")
         + str(inputs.upload_timestamp).encode("ascii")
         + key.octets
     )
-    digest_hex = hashlib.new(digest, material).hexdigest()[:32]
-    return OpaqueName(digest_hex=digest_hex, extension=inputs.extension)
+    return OpaqueName(digest_hex=hashlib.md5(material).hexdigest(), extension=inputs.extension)
 
 
 def classify_name(filename: str) -> NameClass:

@@ -31,6 +31,8 @@ from .errors import (
     NotFound,
     RangeNotSatisfiable,
     TooLarge,
+    TruncatedBody,
+    VaultError,
 )
 from .journal import JournalStore
 from .metadata import DocumentRecord, MetadataStore, new_doc_id
@@ -97,7 +99,7 @@ class VaultCore:
                 while remaining > 0:
                     chunk = content.read(min(delivery.CHUNK_SIZE, remaining))
                     if not chunk:
-                        raise IOError("request body shorter than declared length")
+                        raise TruncatedBody("request body shorter than declared length")
                     if len(head) < 512:
                         head += chunk[: 512 - len(head)]
                     sha.update(chunk)
@@ -197,6 +199,60 @@ def _has_traversal(path: str) -> bool:
     return any(seg in ("..", ".") for seg in decoded.split("/") if seg != "")
 
 
+class BadFraming(VaultError):
+    """A Transfer-Encoding, or more than one Content-Length."""
+
+
+class NegativeLength(VaultError):
+    """A Content-Length of a minus sign and digits."""
+
+
+class LengthRequired(VaultError):
+    """An upload without a Content-Length of ASCII digits."""
+
+
+class InvalidPath(VaultError):
+    """A request path with a traversal segment."""
+
+
+class Unauthenticated(VaultError):
+    """No bearer token, or one that names no live token."""
+
+
+class FilenameRequired(VaultError):
+    """An upload that names no filename."""
+
+
+# The reply to each error a request can end in: status, message, and whether
+# the connection closes.  A message never carries the exception's text, which
+# can name a vault path.  Denied and missing documents both raise NotFound,
+# so their replies are the same bytes.
+_ERRORS: dict[type, tuple[int, str, bool]] = {
+    BadFraming: (400, "invalid framing", True),
+    NegativeLength: (400, "negative Content-Length", True),
+    LengthRequired: (411, "length required", True),
+    InvalidPath: (400, "invalid path", False),
+    Unauthenticated: (401, "authentication required", False),
+    FilenameRequired: (400, "filename parameter required", False),
+    InvalidCursor: (400, "invalid cursor", False),
+    NotFound: (404, "not found", False),
+    RangeNotSatisfiable: (416, "range not satisfiable", False),
+    TooLarge: (413, "upload too large", False),
+    TruncatedBody: (400, "truncated request body", False),
+    DuplicateOpaqueName: (409, "could not allocate a storage name", False),
+    BlobMissing: (500, "stored document unavailable", False),
+    VaultError: (500, "internal error", True),
+    OSError: (500, "internal error", True),
+}
+
+_ROUTES = {
+    ("GET", "/documents"),
+    ("POST", "/documents"),
+    ("GET", "/documents/{doc_id}"),
+    ("DELETE", "/documents/{doc_id}"),
+}
+
+
 class VaultRequestHandler(BaseHTTPRequestHandler):
     server_version = "DocVault"
     protocol_version = "HTTP/1.1"
@@ -210,15 +266,11 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
     wbufsize = delivery.CHUNK_SIZE - 1
 
-    # Set by do_GET/do_DELETE when the request carries a body they never
-    # read: the reply then closes the connection, so the body is not parsed
-    # as the next request.
-    unread_body = False
-
-    # -- plumbing ---------------------------------------------------------
-
     def log_message(self, fmt, *args):  # keep test output quiet
         pass
+
+    def version_string(self):
+        return self.server_version  # the Server header names no Python version
 
     def handle_expect_100(self):
         # The client waits for this interim reply before it sends the body,
@@ -227,167 +279,104 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
         self.wfile.flush()
         return True
 
-    def _send_json(self, status: int, payload: dict, close: bool = False):
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if close or self.unread_body:
+    def _serve(self):
+        """Answer one request: framing, route, error table, reply."""
+        length, close = None, False
+        try:
+            length = self._framing()
+            reply = self._route(length)
+        except (VaultError, OSError) as exc:
+            for cls in type(exc).__mro__:  # the most specific entry
+                if cls in _ERRORS:
+                    break
+            status, message, close = _ERRORS[cls]
+            reply = status, {"error": message}
+        if isinstance(reply, delivery.StreamResult):
+            status, headers, chunks = reply.status, reply.headers, reply.chunks()
+        else:
+            status, payload = reply
+            body = json.dumps(payload).encode("utf-8")
+            headers = [
+                ("Server", self.version_string()),
+                ("Date", self.date_time_string()),
+                ("Content-Type", "application/json"),
+                ("Content-Length", str(len(body))),
+            ]
+            chunks = (body,)
+        self.send_response_only(status)
+        for name, value in headers:
+            self.send_header(name, value)
+        # A body left unread would be parsed as the next request: GET and
+        # DELETE never read one, and an upload reads it only when it succeeds.
+        if close or (status != 201 if self.command == "POST" else length):
             self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
-        self.wfile.write(body)
-
-    def _authenticate(self) -> Principal | None:
-        token = parse_bearer(self.headers.get("Authorization"))
-        if token is None:
-            return None
-        return self.server.core.tokens.authenticate(token)
-
-    def _has_body(self) -> bool:
-        # Any Content-Length but zero ("0", "00", ...) announces body bytes.
-        length = self.headers.get("Content-Length", "")
-        return "Transfer-Encoding" in self.headers or bool(length.strip("0"))
-
-    def _reject_bad_path(self) -> bool:
-        if _has_traversal(self.path):
-            self._send_json(400, {"error": "invalid path"})
-            return True
-        return False
-
-    # -- verbs ------------------------------------------------------------
-
-    def do_GET(self):
-        self.unread_body = self._has_body()
-        if self._reject_bad_path():
-            return
-        url = urlsplit(self.path)
-        if url.path == "/healthz":
-            self._send_json(200, {"status": "ok"})
-            return
-        if url.path == "/documents":
-            self._handle_list(url)
-            return
-        if url.path.startswith("/documents/"):
-            self._handle_download(url)
-            return
-        self._send_json(404, {"error": "not found"})
-
-    def do_POST(self):
-        status, payload = self._upload()
-        # Any reply but 201 may leave body bytes unread on the socket; closing
-        # keeps them from being parsed as the next request.
-        self._send_json(status, payload, close=status != 201)
-
-    def do_DELETE(self):
-        self.unread_body = self._has_body()
-        if self._reject_bad_path():
-            return
-        url = urlsplit(self.path)
-        if not url.path.startswith("/documents/"):
-            self._send_json(404, {"error": "not found"})
-            return
-        principal = self._authenticate()
-        if principal is None:
-            self._send_json(401, {"error": "authentication required"})
-            return
-        doc_id = url.path[len("/documents/"):]
         try:
-            self.server.core.delete_document(principal, doc_id)
-        except NotFound:
-            self._send_json(404, {"error": "not found"})
-            return
-        self._send_json(200, {"deleted": doc_id})
-
-    # -- route bodies ------------------------------------------------------
-
-    def _handle_list(self, url):
-        principal = self._authenticate()
-        if principal is None:
-            self._send_json(401, {"error": "authentication required"})
-            return
-        cursor = (parse_qs(url.query).get("cursor") or [None])[0]
-        try:
-            records, next_cursor = self.server.core.list_documents(principal, cursor)
-        except InvalidCursor:
-            self._send_json(400, {"error": "invalid cursor"})
-            return
-        self._send_json(
-            200,
-            {
-                "documents": [r.public_dict() for r in records],
-                "next_cursor": next_cursor,
-            },
-        )
-
-    def _upload(self) -> tuple[int, dict]:
-        if _has_traversal(self.path):
-            return 400, {"error": "invalid path"}
-        url = urlsplit(self.path)
-        if url.path != "/documents":
-            return 404, {"error": "not found"}
-        principal = self._authenticate()
-        if principal is None:
-            return 401, {"error": "authentication required"}
-        query = parse_qs(url.query)
-        filename = (query.get("filename") or [""])[0] or self.headers.get("X-Filename", "")
-        if not filename:
-            return 400, {"error": "filename parameter required"}
-        value = self.headers.get("Content-Length", "")
-        if value.startswith("-") and value[1:].isdecimal():
-            return 400, {"error": "negative Content-Length"}
-        if not value.isdecimal():
-            return 411, {"error": "length required"}
-        try:
-            length = int(value)
-        except ValueError:  # past int()'s digit limit, so past any upload limit
-            return 413, {"error": "upload too large"}
-        try:
-            record = self.server.core.upload(principal, filename, self.rfile, length)
-        except TooLarge:
-            return 413, {"error": "upload too large"}
-        except DuplicateOpaqueName:
-            return 409, {"error": "could not allocate a storage name"}
-        except IOError:
-            return 400, {"error": "truncated request body"}
-        return 201, record.public_dict()
-
-    def _handle_download(self, url):
-        principal = self._authenticate()
-        if principal is None:
-            self._send_json(401, {"error": "authentication required"})
-            return
-        doc_id = url.path[len("/documents/"):]
-        if "/" in doc_id:
-            self._send_json(404, {"error": "not found"})
-            return
-        try:
-            result = self.server.core.download(
-                principal, doc_id, self.headers.get("Range")
-            )
-        except NotFound:
-            self._send_json(404, {"error": "not found"})
-            return
-        except RangeNotSatisfiable:
-            self._send_json(416, {"error": "range not satisfiable"})
-            return
-        except BlobMissing:
-            self._send_json(500, {"error": "stored document unavailable"})
-            return
-
-        # Exactly the mediated-delivery header set, nothing else.
-        self.send_response_only(result.status)
-        for name, value in result.headers.as_pairs():
-            self.send_header(name, value)
-        if result.content_range:
-            self.send_header("Content-Range", result.content_range)
-        if self.unread_body:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        try:
-            for chunk in result.chunks():
+            for chunk in chunks:
                 self.wfile.write(chunk)
         except BlobMissing:
             self.close_connection = True
+
+    do_GET = do_POST = do_DELETE = _serve
+
+    def _framing(self) -> int | None:
+        """The body's Content-Length, or None without one (RFC 9112 section 6.3).
+
+        The vault takes no chunked bodies, and a second Content-Length could
+        be the one a proxy in front used: either is refused, so that the
+        vault and the proxy never see different request boundaries.
+        """
+        lengths = self.headers.get_all("Content-Length", ())
+        if "Transfer-Encoding" in self.headers or len(lengths) > 1:
+            raise BadFraming()
+        if not lengths:
+            return None
+        value = lengths[0]
+        if not delivery.is_digits(value.removeprefix("-")):
+            raise LengthRequired()
+        if value.startswith("-"):
+            raise NegativeLength()
+        try:
+            return int(value)
+        except ValueError:  # past int()'s digit limit, so past any upload limit
+            raise TooLarge() from None
+
+    def _route(self, length: int | None):
+        """Check the path, match the route, authenticate once, then make the
+        one VaultCore call.  Returns (status, payload) or a StreamResult."""
+        if _has_traversal(self.path):
+            raise InvalidPath()
+        url = urlsplit(self.path)
+        route, doc_id = url.path, None
+        if route.startswith("/documents/"):
+            route, doc_id = "/documents/{doc_id}", route[len("/documents/"):]
+        if (self.command, route) == ("GET", "/healthz"):
+            return 200, {"status": "ok"}
+        if (self.command, route) not in _ROUTES:
+            raise NotFound()
+        core = self.server.core
+        principal = core.tokens.authenticate(parse_bearer(self.headers.get("Authorization")))
+        if principal is None:
+            raise Unauthenticated()
+        if self.command == "POST":
+            query = parse_qs(url.query)
+            filename = (query.get("filename") or [""])[0] or self.headers.get("X-Filename", "")
+            if not filename:
+                raise FilenameRequired()
+            if length is None:
+                raise LengthRequired()
+            return 201, core.upload(principal, filename, self.rfile, length).public_dict()
+        if self.command == "DELETE":
+            core.delete_document(principal, doc_id)
+            return 200, {"deleted": doc_id}
+        if doc_id is not None:
+            return core.download(principal, doc_id, self.headers.get("Range"))
+        cursor = (parse_qs(url.query).get("cursor") or [None])[0]
+        records, next_cursor = core.list_documents(principal, cursor)
+        return 200, {
+            "documents": [r.public_dict() for r in records],
+            "next_cursor": next_cursor,
+        }
 
 
 class VaultHTTPServer(ThreadingHTTPServer):
@@ -420,7 +409,10 @@ class VaultService:
         return f"http://{host}:{port}"
 
     def start(self):
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # A short poll, so that stop() does not wait out serve_forever's 0.5 s.
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(0.02,), daemon=True
+        )
         self._thread.start()
 
     def serve_forever(self):

@@ -99,7 +99,10 @@ class StaticFixtureServer:
             )
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         self.server.method_log = []
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # a short poll, so that stop() does not wait out serve_forever's 0.5 s
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, args=(0.02,), daemon=True
+        )
 
     @property
     def base_url(self) -> str:

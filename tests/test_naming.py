@@ -52,11 +52,6 @@ class TestDerive:
         assert a.digest_hex == b.digest_hex
         assert a.extension != b.extension
 
-    def test_pluggable_digest(self):
-        name = derive_opaque_name(NameInputs("bob", 1, "pdf"), KEY, digest="sha256")
-        assert name.digest_hex != derive_opaque_name(NameInputs("bob", 1, "pdf"), KEY).digest_hex
-        assert len(name.digest_hex) == 32
-
 
 class TestInputValidation:
     def test_empty_username(self):

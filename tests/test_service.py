@@ -1,11 +1,14 @@
+import errno
 import hashlib
 import json
+import os
 import socket
 
 import pytest
 import requests
 
 from docvault.access import Role
+from docvault.errors import StorageFailure
 from docvault.service import VaultRequestHandler, extension_for
 
 
@@ -45,6 +48,7 @@ class TestHealth:
         resp = requests.get(f"{svc.base_url}/healthz")
         assert resp.status_code == 200
         assert resp.json() == {"status": "ok"}
+        assert resp.headers["Server"] == "DocVault"  # no Python version
 
 
 class TestUpload:
@@ -385,10 +389,13 @@ class TestOpaqueNameScrubbing:
                 assert name.encode() not in blob_text
 
 
-def raw_exchange(svc, request: bytes, timeout: float = 2.0) -> bytes:
-    """Send raw request bytes; read until the server closes or goes quiet."""
+def raw_exchange(svc, request: bytes, timeout: float = 2.0, half_close=False) -> bytes:
+    """Send raw request bytes, and with ``half_close`` end the stream after
+    them; read until the server closes or goes quiet."""
     with socket.create_connection(svc.address, timeout=timeout) as sock:
         sock.sendall(request)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
         raw = b""
         try:
             while chunk := sock.recv(65536):
@@ -536,3 +543,62 @@ class TestBodyOnGetAndDelete:
         assert len(replies) == 2, raw
         assert b"Connection: close" not in replies[0]
         assert b"Connection: close" in replies[1].split(b"\r\n\r\n", 1)[0]
+
+
+class TestFraming:
+    """A body that a proxy in front could frame differently is refused
+    (RFC 9112 section 6.3): one 400 reply, then the connection closes, so
+    the vault never answers a request the proxy did not send."""
+
+    SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    @pytest.mark.parametrize("framing,body", [
+        ("Content-Length: 3\r\nContent-Length: 40", b"abc"),
+        ("Transfer-Encoding: chunked\r\nContent-Length: 15", b"5\r\nhello\r\n0\r\n\r\n"),
+    ], ids=["two-lengths", "chunked-and-length"])
+    def test_one_reply_then_close(self, svc, user_token, framing, body):
+        raw = raw_exchange(svc, (
+            "POST /documents?filename=a.txt HTTP/1.1\r\nHost: x\r\n"
+            f"Authorization: Bearer {user_token}\r\n{framing}\r\n\r\n"
+        ).encode() + body + self.SMUGGLED)
+        assert raw.count(b"HTTP/1.1 ") == 1, raw
+        head = raw.split(b"\r\n\r\n", 1)[0].split(b"\r\n")
+        assert head[0] == b"HTTP/1.1 400 Bad Request"
+        assert b"Connection: close" in head
+        assert svc.core.records.list_all()[0] == []
+
+
+class TestUploadFailures:
+    """Only a short body is the client's fault.  A failing disk or store is
+    a 500 that closes the connection, and no reply carries exception text,
+    which can name a vault path."""
+
+    @pytest.mark.parametrize("failure,status,message", [
+        ("short-body", "400 Bad Request", "truncated request body"),
+        ("enospc", "500 Internal Server Error", "internal error"),
+        ("storage", "500 Internal Server Error", "internal error"),
+    ])
+    def test_reply_and_nothing_stored(self, svc, user_token, monkeypatch,
+                                      failure, status, message):
+        vault = str(svc.core.vault_dir)
+
+        def disk_full(fd):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), vault)
+
+        def store_fails(record):
+            raise StorageFailure(f"cannot append for {vault}")
+
+        if failure == "enospc":
+            monkeypatch.setattr(os, "fsync", disk_full)
+        elif failure == "storage":
+            monkeypatch.setattr(svc.core.records, "put_record", store_fails)
+        body = b"hello" if failure == "short-body" else b"0123456789"
+        headers = {"Authorization": f"Bearer {user_token}", "Content-Length": "10"}
+        raw = raw_exchange(svc, post_request(svc.address, headers, body), half_close=True)
+        head, _, reply = raw.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        assert lines[0] == f"HTTP/1.1 {status}".encode()
+        assert b"Connection: close" in lines
+        assert json.loads(reply) == {"error": message}
+        assert svc.core.records.list_all()[0] == []
+        assert sorted(p.name for p in svc.core.vault_dir.iterdir()) == [".htaccess", "index.html"]
