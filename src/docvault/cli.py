@@ -8,7 +8,9 @@ failure (bad config, unreachable store or target).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -57,7 +59,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("get", help="fetch a document to a local file")
     p.add_argument("doc_id")
-    p.add_argument("-o", "--output", help="output path (defaults to the original name)")
+    p.add_argument(
+        "-o", "--output",
+        help="output path (defaults to the original name's base name, never overwritten)",
+    )
 
     p = sub.add_parser("rm", help="delete a document")
     p.add_argument("doc_id")
@@ -83,11 +88,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_core(args) -> VaultCore:
+@contextmanager
+def _open_core(args):
     config = load_config(config_file=args.config)
     key = config.load_key()
-    journal = JournalStore(config.store_path)
-    return VaultCore(config, key, journal)
+    with JournalStore(config.store_path) as journal:
+        core = VaultCore(config, key, journal)
+        try:
+            yield core
+        finally:
+            core.close()
 
 
 def _operator() -> Principal:
@@ -122,14 +132,13 @@ def cmd_serve(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    core = _open_core(args)
     source = Path(args.file)
     if not source.is_file():
         print(f"no such file: {source}", file=sys.stderr)
         return 2
     stored_name = args.filename or source.name
     owner = Principal(username=args.owner, role=Role.USER)
-    with open(source, "rb") as fh:
+    with _open_core(args) as core, open(source, "rb") as fh:
         record = core.upload(owner, stored_name, fh, source.stat().st_size)
     print(f"{record.doc_id} {record.owner} {record.original_filename} "
           f"{record.size_bytes} bytes")
@@ -137,48 +146,62 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_ls(args) -> int:
-    core = _open_core(args)
-    cursor = None
-    while True:
-        if args.owner:
-            records, cursor = core.records.list_by_owner(args.owner, cursor, LS_PAGE_SIZE)
-        else:
-            records, cursor = core.records.list_all(cursor, LS_PAGE_SIZE)
-        for r in records:
-            print(f"{r.doc_id}  {r.owner:<16} {r.size_bytes:>10}  {r.original_filename}")
-        if cursor is None:
-            return 0
+    with _open_core(args) as core:
+        cursor = None
+        while True:
+            if args.owner:
+                records, cursor = core.records.list_by_owner(args.owner, cursor, LS_PAGE_SIZE)
+            else:
+                records, cursor = core.records.list_all(cursor, LS_PAGE_SIZE)
+            for r in records:
+                print(f"{r.doc_id}  {r.owner:<16} {r.size_bytes:>10}  {r.original_filename}")
+            if cursor is None:
+                return 0
 
 
 def cmd_get(args) -> int:
-    core = _open_core(args)
-    result = core.download(_operator(), args.doc_id)
-    out = Path(args.output or result.record.original_filename)
-    with open(out, "wb") as fh:
-        for chunk in result.chunks():
-            fh.write(chunk)
+    with _open_core(args) as core:
+        result = core.download(_operator(), args.doc_id)
+        try:
+            if args.output:
+                out, mode = Path(args.output), "wb"
+            else:
+                # The stored name is the uploader's: only its base name, in
+                # the working directory, and never over an existing file.
+                out, mode = Path(os.path.basename(result.record.original_filename)), "xb"
+                if out.name in ("", ".."):
+                    print("error: the stored name has no file name; use -o", file=sys.stderr)
+                    return 1
+            with open(out, mode) as fh:
+                for chunk in result.chunks():
+                    fh.write(chunk)
+        except FileExistsError:
+            print(f"error: {out} exists; use -o to overwrite it", file=sys.stderr)
+            return 1
+        finally:
+            result.close()
     print(f"wrote {out} ({result.length} bytes)")
     return 0
 
 
 def cmd_rm(args) -> int:
-    core = _open_core(args)
-    core.delete_document(_operator(), args.doc_id)
+    with _open_core(args) as core:
+        core.delete_document(_operator(), args.doc_id)
     print(f"deleted {args.doc_id}")
     return 0
 
 
 def cmd_token(args) -> int:
-    core = _open_core(args)
-    if args.token_verb == "create":
-        token_id, plaintext = core.tokens.create_token(args.username, Role(args.role))
-        # The plaintext is shown exactly once; only its hash is stored.
-        print(f"token_id: {token_id}")
-        print(f"token: {plaintext}")
-        return 0
-    if not core.tokens.revoke_token(args.token_id):
-        print(f"unknown token_id: {args.token_id}", file=sys.stderr)
-        return 1
+    with _open_core(args) as core:
+        if args.token_verb == "create":
+            token_id, plaintext = core.tokens.create_token(args.username, Role(args.role))
+            # The plaintext is shown exactly once; only its hash is stored.
+            print(f"token_id: {token_id}")
+            print(f"token: {plaintext}")
+            return 0
+        if not core.tokens.revoke_token(args.token_id):
+            print(f"unknown token_id: {args.token_id}", file=sys.stderr)
+            return 1
     print(f"revoked {args.token_id}")
     return 0
 
@@ -206,11 +229,11 @@ def cmd_audit(args) -> int:
 
 def cmd_fsck(args) -> int:
     try:
-        core = _open_core(args)
+        with _open_core(args) as core:
+            issues = check_consistency(core.records, core.vault_dir)
     except (ConfigError, StorageFailure) as e:
         print(f"cannot open vault: {e}", file=sys.stderr)
         return 2
-    issues = check_consistency(core.records, core.vault_dir)
     for issue in issues:
         who = issue.doc_id or "-"
         print(f"{issue.kind}: {who} {issue.path} ({issue.detail})")

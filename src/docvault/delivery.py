@@ -10,17 +10,21 @@ is truthful.
 
 from __future__ import annotations
 
+import errno
 import mimetypes
 import os
+import stat
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator
+from urllib.parse import quote
 
 from .access import AccessProof
 from .errors import BlobMissing, RangeNotSatisfiable
 from .metadata import DocumentRecord
 
 CHUNK_SIZE = 64 * 1024
+
+_OPEN_FLAGS = os.O_RDONLY | os.O_NOFOLLOW | os.O_CLOEXEC
 
 _EXTENSION_TYPES = {
     ".pdf": "application/pdf",
@@ -57,11 +61,18 @@ def build_headers(
     octets of this record, which are a part of it exactly when
     ``content_range`` is given."""
     name = sanitize_download_name(record.original_filename)
+    disposition = f'attachment; filename="{name}"'
+    if not (name.isascii() and name.isprintable()):
+        # A header carries only ASCII: an ASCII fallback for old clients,
+        # then the exact name in RFC 8187 form (RFC 6266 section 4.3).
+        fallback = "".join(c if c.isascii() and c.isprintable() else "_" for c in name)
+        encoded = quote(name, safe="", errors="replace")
+        disposition = f"attachment; filename=\"{fallback}\"; filename*=UTF-8''{encoded}"
     headers = [
         ("Content-Type", record.media_type),
         ("Content-Length", str(length)),
         ("Accept-Ranges", "bytes"),
-        ("Content-Disposition", f'attachment; filename="{name}"'),
+        ("Content-Disposition", disposition),
     ]
     if content_range:
         headers.append(("Content-Range", content_range))
@@ -89,35 +100,44 @@ def detect_media_type(original_filename: str, sniff: bytes = b"") -> str:
     return "application/octet-stream"
 
 
-@dataclass(frozen=True)
+@dataclass
 class StreamResult:
-    """One prepared response: status, headers, and a chunk iterator."""
+    """One prepared response: status, headers, and a chunk iterator.
+
+    It owns the open blob: ``chunks()`` closes it after the last chunk or
+    when the generator is closed, and ``close()`` does so for a result that
+    is never streamed.
+    """
 
     status: int  # 200 whole file, 206 partial
     headers: list[tuple[str, str]]
     record: DocumentRecord
     offset: int
     length: int
-    _path: Path
+    _fd: int
 
     def chunks(self) -> Iterator[bytes]:
         """Yield exactly `length` octets starting at `offset`.
 
         Reads in fixed-size chunks, so peak memory is independent of blob
-        size.  The file is opened read-only and its length was stat'ed once
-        up front; if it shrank in between, this raises rather than padding.
+        size.  The length was taken from the open file up front; if the
+        blob shrank since, this raises rather than padding.
         """
-        remaining = self.length
-        with open(self._path, "rb") as fh:
-            fh.seek(self.offset)
-            while remaining > 0:
-                chunk = fh.read(min(CHUNK_SIZE, remaining))
+        try:
+            offset, end = self.offset, self.offset + self.length
+            while offset < end:
+                chunk = os.pread(self._fd, min(CHUNK_SIZE, end - offset), offset)
                 if not chunk:
-                    raise BlobMissing(
-                        f"blob truncated while streaming: {self._path.name}"
-                    )
-                remaining -= len(chunk)
+                    raise BlobMissing(f"blob truncated while streaming: {self.record.doc_id}")
+                offset += len(chunk)
                 yield chunk
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        fd, self._fd = self._fd, -1
+        if fd >= 0:
+            os.close(fd)
 
 
 def is_digits(value: str) -> bool:
@@ -161,38 +181,44 @@ def parse_range_header(value: str | None, size: int) -> tuple[int, int] | None:
 
 def stream_document(
     record: DocumentRecord,
-    vault_dir: str | Path,
+    vault_fd: int,
     authz_proof: AccessProof,
     byte_range: tuple[int, int] | None = None,
 ) -> StreamResult:
     """Prepare the mediated response for one record.
 
     Requires an AccessProof for this document (only authorize() can issue
-    one), confines the read to vault_dir, and never modifies the blob.
+    one) and never modifies the blob.  The blob is opened relative to the
+    held vault directory fd: an opaque name has no ``/``, and O_NOFOLLOW
+    refuses a symlink planted under it, so the read cannot leave the vault.
     """
     if not isinstance(authz_proof, AccessProof) or authz_proof.doc_id != record.doc_id:
         raise PermissionError("delivery requires an authorization proof for this document")
 
-    vault = Path(vault_dir).resolve()
-    path = (vault / record.opaque_name.render()).resolve()
-    if path.parent != vault:
-        raise BlobMissing(f"blob path escapes the vault: {record.opaque_name.render()}")
-
     try:
-        size = path.stat().st_size
-    except FileNotFoundError:
-        raise BlobMissing(f"no blob for document {record.doc_id}")
-
-    if byte_range is None:
-        start, length, content_range = 0, size, None
-    else:
-        start, end = byte_range
-        if start >= size:
-            raise RangeNotSatisfiable(f"range start {start} >= blob size {size}")
-        end = min(end, size - 1)
-        length, content_range = end - start + 1, f"bytes {start}-{end}/{size}"
-    return StreamResult(
-        status=200 if content_range is None else 206,
-        headers=build_headers(record, length, content_range),
-        record=record, offset=start, length=length, _path=path,
-    )
+        fd = os.open(record.opaque_name.render(), _OPEN_FLAGS, dir_fd=vault_fd)
+    except OSError as exc:
+        if exc.errno not in (errno.ENOENT, errno.ELOOP):
+            raise
+        raise BlobMissing(f"no blob for document {record.doc_id}") from None
+    try:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            raise BlobMissing(f"blob of document {record.doc_id} is not a regular file")
+        size = st.st_size
+        if byte_range is None:
+            start, length, content_range = 0, size, None
+        else:
+            start, end = byte_range
+            if start >= size:
+                raise RangeNotSatisfiable(f"range start {start} >= blob size {size}")
+            end = min(end, size - 1)
+            length, content_range = end - start + 1, f"bytes {start}-{end}/{size}"
+        return StreamResult(
+            status=200 if content_range is None else 206,
+            headers=build_headers(record, length, content_range),
+            record=record, offset=start, length=length, _fd=fd,
+        )
+    except BaseException:
+        os.close(fd)
+        raise

@@ -121,6 +121,21 @@ class MetadataStore:
         value = self._journal.get(_DOC_PREFIX + doc_id)
         return DocumentRecord.from_dict(value) if value else None
 
+    def name_taken(self, rendered: str) -> bool:
+        """Whether a live record holds this rendered opaque name."""
+        return rendered in self._by_name
+
+    def last_timestamp(self, owner: str, extension: str) -> int:
+        """The newest upload_timestamp among the owner's records whose
+        opaque name has this extension, or -1 without one: the walk starts
+        at the end of the owner's keyset list and stops at the first match."""
+        suffix = "." + extension
+        with self._journal.lock:
+            for ts, doc_id in reversed(self._keys_by_owner.get(owner, ())):
+                if self._journal.get(_DOC_PREFIX + doc_id)["opaque_name"].endswith(suffix):
+                    return ts
+        return -1
+
     def get_by_opaque_name(self, name: OpaqueName) -> DocumentRecord | None:
         doc_id = self._by_name.get(name.render())
         return self.get_by_id(doc_id) if doc_id else None

@@ -13,9 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import secrets
 import threading
 import time
+import weakref
+from contextlib import suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import BinaryIO
@@ -30,6 +32,7 @@ from .errors import (
     InvalidCursor,
     NotFound,
     RangeNotSatisfiable,
+    StorageFailure,
     TooLarge,
     TruncatedBody,
     VaultError,
@@ -52,7 +55,11 @@ def extension_for(filename: str) -> str:
 
 
 class VaultCore:
-    """Store-level operations shared by the HTTP service and the local CLI."""
+    """Store-level operations shared by the HTTP service and the local CLI.
+
+    It holds the vault directory open, and every blob operation is made
+    relative to that fd: no request joins a vault path.
+    """
 
     def __init__(self, config: ServiceConfig, key: SecretKey, journal: JournalStore):
         self.config = config
@@ -61,9 +68,21 @@ class VaultCore:
         self.records = MetadataStore(journal)
         self.tokens = TokenStore(journal)
         self.vault_dir = Path(config.vault_dir)
+        try:
+            self.vault_fd = os.open(
+                self.vault_dir, os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC
+            )
+        except OSError as e:
+            raise StorageFailure(f"cannot open vault directory {self.vault_dir}: {e}")
+        # close() closes it, and so does dropping a core that was never closed
+        self._close_vault = weakref.finalize(self, os.close, self.vault_fd)
         # last timestamp slot handed out per (username, extension); lets a
-        # burst of same-second uploads claim ts, ts+1, ... without rescanning
+        # burst of same-second uploads claim ts, ts+1, ... without rescanning.
+        # A key missing after a start is rebuilt from the store on first use.
         self._last_slot: dict[tuple[str, str], int] = {}
+
+    def close(self) -> None:
+        self._close_vault()
 
     def upload(
         self,
@@ -92,7 +111,11 @@ class VaultCore:
 
         sha = hashlib.sha256()
         head = b""
-        fd, tmp_path = tempfile.mkstemp(prefix=".upload-", dir=self.vault_dir)
+        tmp_name = f".upload-{secrets.token_hex(8)}"
+        fd = os.open(
+            tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o600,
+            dir_fd=self.vault_fd,
+        )
         try:
             with os.fdopen(fd, "wb") as tmp:
                 remaining = content_length
@@ -107,20 +130,24 @@ class VaultCore:
                     remaining -= len(chunk)
                 tmp.flush()
                 os.fsync(tmp.fileno())
-            os.chmod(tmp_path, 0o600)
 
             media_type = delivery.detect_media_type(original_filename, head)
             record = None
             with self.records.lock:
                 slot_key = (principal.username, ext)
-                start_ts = max(base_ts, self._last_slot.get(slot_key, -1) + 1)
+                last = self._last_slot.get(slot_key)
+                if last is None:
+                    last = self.records.last_timestamp(principal.username, ext)
+                start_ts = max(base_ts, last + 1)
                 for attempt in range(MAX_NAME_RETRIES):
                     ts = start_ts + attempt
                     name = derive_opaque_name(
                         NameInputs(principal.username, ts, ext), self.key
                     )
-                    blob_path = self.vault_dir / name.render()
-                    if blob_path.exists() or self.records.get_by_opaque_name(name):
+                    rendered = name.render()
+                    if self.records.name_taken(rendered) or os.access(
+                        rendered, os.F_OK, dir_fd=self.vault_fd, follow_symlinks=False
+                    ):
                         continue
                     record = DocumentRecord(
                         doc_id=new_doc_id(),
@@ -133,12 +160,14 @@ class VaultCore:
                         checksum=sha.hexdigest(),
                         policy=self.config.policy,
                     )
-                    os.replace(tmp_path, blob_path)
-                    tmp_path = None
+                    os.replace(
+                        tmp_name, rendered, src_dir_fd=self.vault_fd, dst_dir_fd=self.vault_fd
+                    )
+                    tmp_name = None
                     try:
                         self.records.put_record(record)
                     except Exception:
-                        blob_path.unlink(missing_ok=True)
+                        self._unlink(rendered)
                         raise
                     self._last_slot[slot_key] = ts
                     break
@@ -149,8 +178,12 @@ class VaultCore:
                     )
             return record
         finally:
-            if tmp_path is not None:
-                Path(tmp_path).unlink(missing_ok=True)
+            if tmp_name is not None:
+                self._unlink(tmp_name)
+
+    def _unlink(self, name: str) -> None:
+        with suppress(FileNotFoundError):
+            os.unlink(name, dir_fd=self.vault_fd)
 
     def _authorized_record(
         self, principal: Principal, doc_id: str, action: Action
@@ -178,7 +211,7 @@ class VaultCore:
         """
         record, proof = self._authorized_record(principal, doc_id, Action.READ)
         byte_range = delivery.parse_range_header(range_header, record.size_bytes)
-        return delivery.stream_document(record, self.vault_dir, proof, byte_range)
+        return delivery.stream_document(record, self.vault_fd, proof, byte_range)
 
     def list_documents(self, principal: Principal, cursor: str | None = None):
         if principal.role is Role.ADMIN:
@@ -191,7 +224,7 @@ class VaultCore:
         # (found by fsck), never a record pointing at nothing.
         if not self.records.delete_record(doc_id):
             raise NotFound(doc_id)
-        (self.vault_dir / record.opaque_name.render()).unlink(missing_ok=True)
+        self._unlink(record.opaque_name.render())
 
 
 def _has_traversal(path: str) -> bool:
@@ -303,19 +336,22 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
                 ("Content-Length", str(len(body))),
             ]
             chunks = (body,)
-        self.send_response_only(status)
-        for name, value in headers:
-            self.send_header(name, value)
-        # A body left unread would be parsed as the next request: GET and
-        # DELETE never read one, and an upload reads it only when it succeeds.
-        if close or (status != 201 if self.command == "POST" else length):
-            self.send_header("Connection", "close")  # sets close_connection
-        self.end_headers()
         try:
+            self.send_response_only(status)
+            for name, value in headers:
+                self.send_header(name, value)
+            # A body left unread would be parsed as the next request: GET and
+            # DELETE never read one, and an upload reads it only when it succeeds.
+            if close or (status != 201 if self.command == "POST" else length):
+                self.send_header("Connection", "close")  # sets close_connection
+            self.end_headers()
             for chunk in chunks:
                 self.wfile.write(chunk)
         except BlobMissing:
             self.close_connection = True
+        finally:
+            if isinstance(reply, delivery.StreamResult):
+                reply.close()  # a body cut short, or never started
 
     do_GET = do_POST = do_DELETE = _serve
 
@@ -423,4 +459,5 @@ class VaultService:
         self._server.server_close()
         if self._thread:
             self._thread.join(timeout=5)
+        self.core.close()
         self.journal.close()

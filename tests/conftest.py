@@ -51,7 +51,9 @@ def core(vault_config, tmp_path):
 
     materialize_layout(vault_config.layout())
     journal = JournalStore(vault_config.store_path)
-    yield VaultCore(vault_config, SecretKey(TEST_KEY), journal)
+    core = VaultCore(vault_config, SecretKey(TEST_KEY), journal)
+    yield core
+    core.close()
     journal.close()
 
 

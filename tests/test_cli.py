@@ -83,6 +83,24 @@ class TestIngestLsGetRm:
         capsys.readouterr()
         assert main(["get", doc_id, "-o", str(out_file)]) == 1
 
+    def test_get_stays_in_working_directory(self, env, capsys, tmp_path, monkeypatch):
+        main(["init"])
+        capsys.readouterr()
+        source = tmp_path / "src.txt"
+        source.write_bytes(b"stored text")
+        main(["ingest", str(source), "--owner", "alice", "--filename", "../escaped.txt"])
+        doc_id = capsys.readouterr().out.split()[0]
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["get", doc_id]) == 0
+        assert (work / "escaped.txt").read_bytes() == b"stored text"
+        assert not (tmp_path / "escaped.txt").exists()
+        # a second get refuses to overwrite what the first wrote
+        (work / "escaped.txt").write_bytes(b"mine")
+        assert main(["get", doc_id]) == 1
+        assert (work / "escaped.txt").read_bytes() == b"mine"
+
     def test_ls_owner_filter(self, env, capsys, tmp_path):
         main(["init"])
         f = tmp_path / "a.txt"

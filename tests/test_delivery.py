@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,18 @@ from docvault.errors import BlobMissing, RangeNotSatisfiable
 from test_metadata import make_record
 
 
+_vault_fds: list[int] = []
+
+
+@pytest.fixture(autouse=True)
+def _close_vault_fds():
+    yield
+    while _vault_fds:
+        os.close(_vault_fds.pop())
+
+
 def stored(tmp_path, content: bytes, **kw):
+    """A record, an fd of the vault directory holding its blob, and a read proof."""
     vault = tmp_path / "vault"
     vault.mkdir(exist_ok=True)
     record = make_record(
@@ -28,7 +40,8 @@ def stored(tmp_path, content: bytes, **kw):
     )
     (vault / record.opaque_name.render()).write_bytes(content)
     proof = authorize(Principal(record.owner, Role.USER), record, Action.READ)
-    return record, vault, proof
+    _vault_fds.append(os.open(vault, os.O_RDONLY | os.O_DIRECTORY))
+    return record, _vault_fds[-1], proof
 
 
 class TestHeaders:
@@ -44,6 +57,19 @@ class TestHeaders:
     def test_empty_blob(self, tmp_path):
         record, vault, proof = stored(tmp_path, b"")
         assert ("Content-Length", "0") in stream_document(record, vault, proof).headers
+
+    def test_non_ascii_name_gets_rfc8187_form(self):
+        record = make_record(original_filename="报告€.pdf")
+        assert dict(build_headers(record, 10, None))["Content-Disposition"] == (
+            "attachment; filename=\"___.pdf\"; "
+            "filename*=UTF-8''%E6%8A%A5%E5%91%8A%E2%82%AC.pdf"
+        )
+
+    def test_control_character_is_encoded(self):
+        record = make_record(original_filename="a\tb.pdf")
+        assert dict(build_headers(record, 10, None))["Content-Disposition"] == (
+            "attachment; filename=\"a_b.pdf\"; filename*=UTF-8''a%09b.pdf"
+        )
 
     def test_sanitized_download_name(self):
         record = make_record(original_filename='a"b\r\n.pdf')
@@ -114,7 +140,42 @@ class TestStreaming:
 
     def test_blob_missing(self, tmp_path):
         record, vault, proof = stored(tmp_path, b"data")
-        (vault / record.opaque_name.render()).unlink()
+        os.unlink(record.opaque_name.render(), dir_fd=vault)
+        with pytest.raises(BlobMissing):
+            stream_document(record, vault, proof)
+
+    def test_delete_after_prepare_streams_whole_body(self, tmp_path):
+        content = bytes(range(256)) * 1024
+        record, vault, proof = stored(tmp_path, content)
+        result = stream_document(record, vault, proof)
+        os.unlink(record.opaque_name.render(), dir_fd=vault)
+        assert b"".join(result.chunks()) == content
+
+    def test_truncated_mid_stream_raises(self, tmp_path):
+        record, vault, proof = stored(tmp_path, b"x" * (3 * CHUNK_SIZE))
+        result = stream_document(record, vault, proof)
+        chunks = result.chunks()
+        assert len(next(chunks)) == CHUNK_SIZE
+        os.truncate(tmp_path / "vault" / record.opaque_name.render(), CHUNK_SIZE + 10)
+        assert len(next(chunks)) == 10
+        with pytest.raises(BlobMissing):
+            next(chunks)
+
+    def test_symlink_under_opaque_name_is_missing(self, tmp_path):
+        record, vault, proof = stored(tmp_path, b"data")
+        name = record.opaque_name.render()
+        outside = tmp_path / "outside.pdf"
+        outside.write_bytes(b"data")
+        os.unlink(name, dir_fd=vault)
+        os.symlink(outside, name, dir_fd=vault)
+        with pytest.raises(BlobMissing):
+            stream_document(record, vault, proof)
+
+    def test_directory_under_opaque_name_is_missing(self, tmp_path):
+        record, vault, proof = stored(tmp_path, b"data")
+        name = record.opaque_name.render()
+        os.unlink(name, dir_fd=vault)
+        os.mkdir(name, dir_fd=vault)
         with pytest.raises(BlobMissing):
             stream_document(record, vault, proof)
 
@@ -132,7 +193,7 @@ class TestStreaming:
 
     def test_blob_unmodified_by_read(self, tmp_path):
         record, vault, proof = stored(tmp_path, b"read-only data")
-        blob = vault / record.opaque_name.render()
+        blob = tmp_path / "vault" / record.opaque_name.render()
         before = blob.stat().st_mtime_ns
         list(stream_document(record, vault, proof).chunks())
         assert blob.read_bytes() == b"read-only data"

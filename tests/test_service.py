@@ -1,15 +1,24 @@
 import errno
 import hashlib
+import io
 import json
 import os
 import socket
+import struct
+import time
+from urllib.parse import unquote
 
 import pytest
 import requests
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from docvault.access import Role
+from docvault import service
+from docvault.access import Principal, Role
+from docvault.delivery import sanitize_download_name
 from docvault.errors import StorageFailure
-from docvault.service import VaultRequestHandler, extension_for
+from docvault.journal import JournalStore
+from docvault.service import VaultCore, VaultRequestHandler, extension_for
 
 
 @pytest.fixture
@@ -602,3 +611,122 @@ class TestUploadFailures:
         assert json.loads(reply) == {"error": message}
         assert svc.core.records.list_all()[0] == []
         assert sorted(p.name for p in svc.core.vault_dir.iterdir()) == [".htaccess", "index.html"]
+
+
+class TestNameAllocation:
+    def test_burst_then_restart_derives_one_name(self, core, vault_config, monkeypatch):
+        """The high-water slot of an (owner, extension) is rebuilt from the
+        store after a restart, so the next upload does not retry through
+        the slots the burst took."""
+        alice = Principal("alice", Role.USER)
+        for i in range(40):
+            core.upload(alice, f"{i}.pdf", io.BytesIO(b"x"), 1, now=1000)
+        derived = []
+        derive = service.derive_opaque_name
+
+        def counting(inputs, key):
+            derived.append(inputs.upload_timestamp)
+            return derive(inputs, key)
+
+        monkeypatch.setattr(service, "derive_opaque_name", counting)
+        with JournalStore(vault_config.store_path) as journal:
+            reopened = VaultCore(vault_config, core.key, journal)
+            try:
+                late = reopened.upload(alice, "late.pdf", io.BytesIO(b"y"), 1, now=1000)
+                other_ext = reopened.upload(alice, "notes.txt", io.BytesIO(b"z"), 1, now=1000)
+            finally:
+                reopened.close()
+        assert late.upload_timestamp == 1040
+        assert other_ext.upload_timestamp == 1000  # the .pdf records do not hold .txt slots
+        assert derived == [1040, 1000]
+
+
+def disposition_name(value: str) -> str:
+    """The file name a Content-Disposition value carries (RFC 6266)."""
+    if "filename*=UTF-8''" in value:
+        return unquote(value.split("filename*=UTF-8''", 1)[1], errors="strict")
+    assert value.startswith('attachment; filename="') and value.endswith('"')
+    return value[len('attachment; filename="'):-1]
+
+
+class TestUnicodeNames:
+    def test_non_latin1_name_downloads_whole(self, svc, user_token):
+        doc = upload(svc, user_token, "报告€.pdf", b"%PDF-1.4 body").json()
+        got = requests.get(f"{svc.base_url}/documents/{doc['doc_id']}", headers=auth(user_token))
+        assert got.status_code == 200
+        assert got.content == b"%PDF-1.4 body"
+        assert disposition_name(got.headers["Content-Disposition"]) == "报告€.pdf"
+
+    @given(name=st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=24))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_name_round_trips(self, svc, user_token, name):
+        body = name.encode("utf-8") + b"|body"
+        resp = upload(svc, user_token, name, body)
+        assert resp.status_code in (400, 201)
+        if resp.status_code == 400:
+            return
+        assert resp.json()["original_filename"] == name
+        got = requests.get(
+            f"{svc.base_url}/documents/{resp.json()['doc_id']}", headers=auth(user_token)
+        )
+        assert got.status_code == 200
+        assert got.content == body
+        assert disposition_name(got.headers["Content-Disposition"]) == (
+            sanitize_download_name(name)
+        )
+
+
+def open_blob_fds(vault_dir, timeout: float = 3.0) -> int:
+    """This process's open fds on files in the vault directory, once they
+    are down to none or ``timeout`` has passed: a handler thread may still
+    be ending the last reply."""
+    vault = os.path.realpath(vault_dir)
+    deadline = time.monotonic() + timeout
+    while True:
+        count = 0
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                count += os.path.dirname(os.readlink(f"/proc/self/fd/{fd}")) == vault
+            except OSError:  # the listing's own fd, closed by now
+                pass
+        if count == 0 or time.monotonic() > deadline:
+            return count
+        time.sleep(0.02)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestBlobFds:
+    """Each download's blob fd is closed however the reply ends."""
+
+    def test_fifty_downloads_leave_no_blob_open(self, svc, user_token, monkeypatch):
+        small = upload(svc, user_token, "small.pdf", b"%PDF small").json()
+        big_body = bytes(range(256)) * 8192  # 2 MiB, many chunks
+        big = upload(svc, user_token, "big.bin", big_body).json()
+
+        for i in range(48):
+            headers = {**auth(user_token), "Range": "bytes=1-4"} if i % 2 else auth(user_token)
+            got = requests.get(f"{svc.base_url}/documents/{small['doc_id']}", headers=headers)
+            assert got.status_code in (200, 206)
+
+        # a client that goes away mid-body: a small receive window stalls
+        # the stream, then the connection is reset
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(2)
+            sock.connect(svc.address)
+            sock.sendall((f"GET /documents/{big['doc_id']} HTTP/1.1\r\nHost: x\r\n"
+                          f"Authorization: Bearer {user_token}\r\n\r\n").encode())
+            assert sock.recv(1024).startswith(b"HTTP/1.1 200 ")
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+        # a result that is prepared but never streamed: the header write fails
+        with monkeypatch.context() as m:
+            def failing_end_headers(handler):
+                raise ConnectionResetError("client went away")
+
+            m.setattr(VaultRequestHandler, "end_headers", failing_end_headers)
+            raw_exchange(svc, (f"GET /documents/{small['doc_id']} HTTP/1.1\r\nHost: x\r\n"
+                               f"Authorization: Bearer {user_token}\r\n\r\n").encode())
+
+        assert open_blob_fds(svc.core.vault_dir) == 0
