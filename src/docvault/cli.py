@@ -30,6 +30,7 @@ from .errors import (
 )
 from .journal import JournalStore
 from .metadata import check_consistency
+from .placement import materialize_layout, verify_layout
 from .service import VaultCore, VaultService
 
 
@@ -83,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--known-names", metavar="FILE", help="file with one filename per line")
     p.add_argument("--json", action="store_true", dest="as_json")
 
-    sub.add_parser("fsck", help="consistency sweep between records and blobs")
+    sub.add_parser("fsck", help="check the vault layout, then records against blobs")
 
     return parser
 
@@ -107,8 +108,6 @@ def _operator() -> Principal:
 
 
 def cmd_init(args) -> int:
-    from .placement import materialize_layout
-
     config = load_config(config_file=args.config)
     result = materialize_layout(config.layout())
     if result.already_compliant:
@@ -230,15 +229,18 @@ def cmd_audit(args) -> int:
 def cmd_fsck(args) -> int:
     try:
         with _open_core(args) as core:
+            violations = verify_layout(core.config.layout())
             issues = check_consistency(core.records, core.vault_dir)
     except (ConfigError, StorageFailure) as e:
         print(f"cannot open vault: {e}", file=sys.stderr)
         return 2
+    for v in violations:
+        print(f"layout {v.rule}: {v.path} ({v.detail})")
     for issue in issues:
         who = issue.doc_id or "-"
         print(f"{issue.kind}: {who} {issue.path} ({issue.detail})")
-    if issues:
-        print(f"{len(issues)} issue(s) found")
+    if violations or issues:
+        print(f"{len(violations) + len(issues)} issue(s) found")
         return 1
     print("clean")
     return 0

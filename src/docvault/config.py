@@ -8,7 +8,7 @@ flags leave unset.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
@@ -37,7 +37,7 @@ class ServiceConfig:
     vault_dir: str
     policy: PlacementPolicy
     key_file: str | None
-    key_env: str | None
+    key_env: str | None = field(repr=False)  # VAULT_KEY's value, from any source
     store_path: str
     max_upload_bytes: int
 
@@ -55,11 +55,11 @@ class ServiceConfig:
         return plan_layout(self.policy, self.webroot, self.vault_dir)
 
     def load_key(self) -> SecretKey:
-        """Key file takes precedence over the environment; refuse to run keyless."""
+        """VAULT_KEY_FILE takes precedence over VAULT_KEY; refuse to run keyless."""
         if self.key_file:
             return SecretKey.load_file(self.key_file)
         if self.key_env:
-            return SecretKey.load_env(self.key_env)
+            return SecretKey(self.key_env.encode("utf-8"), source="VAULT_KEY")
         raise ConfigError("no secret key configured (set VAULT_KEY_FILE or VAULT_KEY)")
 
 
@@ -126,7 +126,7 @@ def load_config(
         vault_dir=values["VAULT_DIR"],
         policy=_POLICY_ALIASES[policy_name],
         key_file=values.get("VAULT_KEY_FILE"),
-        key_env="VAULT_KEY" if "VAULT_KEY" in os.environ else None,
+        key_env=values.get("VAULT_KEY"),
         store_path=values["VAULT_STORE"],
         max_upload_bytes=max_upload,
     )

@@ -10,10 +10,8 @@ is truthful.
 
 from __future__ import annotations
 
-import errno
 import mimetypes
 import os
-import stat
 from dataclasses import dataclass
 from typing import Iterator
 from urllib.parse import quote
@@ -21,10 +19,9 @@ from urllib.parse import quote
 from .access import AccessProof
 from .errors import BlobMissing, RangeNotSatisfiable
 from .metadata import DocumentRecord
+from .placement import open_blob
 
 CHUNK_SIZE = 64 * 1024
-
-_OPEN_FLAGS = os.O_RDONLY | os.O_NOFOLLOW | os.O_CLOEXEC
 
 _EXTENSION_TYPES = {
     ".pdf": "application/pdf",
@@ -188,24 +185,14 @@ def stream_document(
     """Prepare the mediated response for one record.
 
     Requires an AccessProof for this document (only authorize() can issue
-    one) and never modifies the blob.  The blob is opened relative to the
-    held vault directory fd: an opaque name has no ``/``, and O_NOFOLLOW
-    refuses a symlink planted under it, so the read cannot leave the vault.
+    one) and never modifies the blob, which ``open_blob`` opens under the
+    held vault directory fd.
     """
     if not isinstance(authz_proof, AccessProof) or authz_proof.doc_id != record.doc_id:
         raise PermissionError("delivery requires an authorization proof for this document")
 
+    fd, size = open_blob(vault_fd, record.opaque_name.render())
     try:
-        fd = os.open(record.opaque_name.render(), _OPEN_FLAGS, dir_fd=vault_fd)
-    except OSError as exc:
-        if exc.errno not in (errno.ENOENT, errno.ELOOP):
-            raise
-        raise BlobMissing(f"no blob for document {record.doc_id}") from None
-    try:
-        st = os.fstat(fd)
-        if not stat.S_ISREG(st.st_mode):
-            raise BlobMissing(f"blob of document {record.doc_id} is not a regular file")
-        size = st.st_size
         if byte_range is None:
             start, length, content_range = 0, size, None
         else:

@@ -9,16 +9,18 @@ has to reveal a storage path.
 from __future__ import annotations
 
 import hashlib
+import os
 import secrets
+import sys
 import threading
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
-from .errors import DuplicateOpaqueName, InvalidCursor, StorageFailure
+from .errors import BlobMissing, DuplicateOpaqueName, InvalidCursor, StorageFailure
 from .journal import JournalStore
 from .naming import OpaqueName
-from .placement import DENY_CONFIG_NAME, INDEX_PLACEHOLDER_NAME, PlacementPolicy
+from .placement import DENY_CONFIG_NAME, INDEX_PLACEHOLDER_NAME, open_blob
 
 _DOC_PREFIX = "doc:"
 
@@ -35,16 +37,16 @@ class DocumentRecord:
     upload_timestamp: int
     opaque_name: OpaqueName
     checksum: str  # lowercase hex sha256 of blob content
-    policy: PlacementPolicy
 
     def to_dict(self) -> dict:
         d = asdict(self)
         d["opaque_name"] = self.opaque_name.render()
-        d["policy"] = self.policy.value
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "DocumentRecord":
+        """The record of a journal value; keys it does not name, such as the
+        ``policy`` that older journals carry, are ignored."""
         return cls(
             doc_id=d["doc_id"],
             owner=d["owner"],
@@ -54,7 +56,6 @@ class DocumentRecord:
             upload_timestamp=d["upload_timestamp"],
             opaque_name=OpaqueName.parse(d["opaque_name"]),
             checksum=d["checksum"],
-            policy=PlacementPolicy(d["policy"]),
         )
 
     def public_dict(self) -> dict:
@@ -136,10 +137,6 @@ class MetadataStore:
                     return ts
         return -1
 
-    def get_by_opaque_name(self, name: OpaqueName) -> DocumentRecord | None:
-        doc_id = self._by_name.get(name.render())
-        return self.get_by_id(doc_id) if doc_id else None
-
     def list_by_owner(
         self, owner: str, cursor: str | None = None, page_size: int = DEFAULT_PAGE_SIZE
     ) -> tuple[list[DocumentRecord], str | None]:
@@ -200,62 +197,58 @@ class ConsistencyIssue:
 _PROTECTION_FILES = {DENY_CONFIG_NAME, INDEX_PLACEHOLDER_NAME}
 
 
-def sha256_file(path: Path, chunk_size: int = 1 << 16) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(chunk_size):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def check_consistency(store: MetadataStore, vault_dir: str | Path) -> list[ConsistencyIssue]:
     """Referential sweep between the record store and the blob directory.
 
-    Every record must resolve to a blob of matching size and checksum;
-    every non-artifact file in the vault must have exactly one record.
+    Every record must resolve to a blob of matching size and checksum,
+    reached as a download reaches it: by ``open_blob`` under one fd of the
+    vault directory, so a symlink under a record's name is a dangling
+    record.  Every other entry that is not a directory or a protection
+    file, symlinks included, is an orphan blob.
     """
     vault = Path(vault_dir)
     issues: list[ConsistencyIssue] = []
-    recorded_names: set[str] = set()
-
-    records, cursor = store.list_all(page_size=10_000)
-    while True:
-        for record in records:
-            rendered = record.opaque_name.render()
-            recorded_names.add(rendered)
-            blob = vault / rendered
-            if not blob.is_file():
-                issues.append(
-                    ConsistencyIssue("dangling-record", record.doc_id, str(blob), "blob missing")
-                )
+    records = {r.opaque_name.render(): r for r in store.list_all(page_size=sys.maxsize)[0]}
+    vault_fd = os.open(vault, os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC)
+    try:
+        for rendered, record in records.items():
+            blob = str(vault / rendered)
+            try:
+                fd, size = open_blob(vault_fd, rendered)
+            except BlobMissing as exc:
+                issues.append(ConsistencyIssue("dangling-record", record.doc_id, blob, str(exc)))
                 continue
-            actual_size = blob.stat().st_size
-            if actual_size != record.size_bytes:
+            with open(fd, "rb") as fh:
+                if size != record.size_bytes:
+                    issues.append(
+                        ConsistencyIssue(
+                            "size-mismatch",
+                            record.doc_id,
+                            blob,
+                            f"record says {record.size_bytes} bytes, blob has {size}",
+                        )
+                    )
+                    continue
+                h = hashlib.sha256()
+                while chunk := fh.read(1 << 16):
+                    h.update(chunk)
+            if h.hexdigest() != record.checksum:
                 issues.append(
                     ConsistencyIssue(
-                        "size-mismatch",
-                        record.doc_id,
-                        str(blob),
-                        f"record says {record.size_bytes} bytes, blob has {actual_size}",
+                        "checksum-mismatch", record.doc_id, blob, "sha256 differs from record"
                     )
                 )
-            elif sha256_file(blob) != record.checksum:
-                issues.append(
-                    ConsistencyIssue(
-                        "checksum-mismatch", record.doc_id, str(blob), "sha256 differs from record"
-                    )
-                )
-        if not cursor:
-            break
-        records, cursor = store.list_all(cursor=cursor, page_size=10_000)
-
-    if vault.is_dir():
-        for entry in sorted(vault.iterdir()):
-            if entry.name in _PROTECTION_FILES or not entry.is_file():
-                continue
-            if entry.name not in recorded_names:
-                issues.append(
-                    ConsistencyIssue("orphan-blob", None, str(entry), "no record for blob")
-                )
-
+        with os.scandir(vault_fd) as entries:
+            strays = sorted(
+                entry.name for entry in entries
+                if not entry.is_dir(follow_symlinks=False)
+                and entry.name not in _PROTECTION_FILES
+                and entry.name not in records
+            )
+    finally:
+        os.close(vault_fd)
+    issues.extend(
+        ConsistencyIssue("orphan-blob", None, str(vault / name), "no record for blob")
+        for name in strays
+    )
     return issues

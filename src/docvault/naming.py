@@ -1,18 +1,15 @@
-"""Opaque storage-name derivation and filename classification.
+"""Opaque storage-name derivation.
 
 Stored blobs get names of the form ``<32 hex chars>.<ext>`` derived from
 (username, upload timestamp, server secret).  An outsider who does not hold
 the server secret cannot regenerate a name even if they learn the username
-and the exact upload second.  The classifier tells opaque names apart from
-the trivially enumerable ``1.pdf, 2.pdf, ...`` style that makes blind
-guessing practical.
+and the exact upload second, unlike the trivially enumerable ``1.pdf,
+2.pdf, ...`` style that makes blind guessing practical.
 """
 
 from __future__ import annotations
 
-import enum
 import hashlib
-import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +21,6 @@ MAX_KEY_OCTETS = 64
 
 _EXTENSION_RE = re.compile(r"^[a-z0-9]{1,10}$")
 _HEX32_RE = re.compile(r"^[0-9a-f]{32}$")
-_DECIMAL_RE = re.compile(r"^[0-9]+$")
 
 
 @dataclass(frozen=True)
@@ -65,13 +61,6 @@ class SecretKey:
         if data.endswith(b"\n"):
             data = data[:-1]
         return cls(data, source=f"file:{path}")
-
-    @classmethod
-    def load_env(cls, var: str) -> "SecretKey":
-        value = os.environ.get(var)
-        if value is None:
-            raise WeakKey(f"environment variable {var} is not set")
-        return cls(value.encode("utf-8"), source=f"env:{var}")
 
 
 @dataclass(frozen=True)
@@ -123,12 +112,6 @@ class OpaqueName:
         return cls(stem, ext)
 
 
-class NameClass(enum.Enum):
-    OPAQUE = "opaque"
-    SEQUENTIAL_GUESSABLE = "sequential_guessable"
-    OTHER = "other"
-
-
 def derive_opaque_name(inputs: NameInputs, key: SecretKey) -> OpaqueName:
     """Derive the deterministic storage name for one upload.
 
@@ -141,22 +124,3 @@ def derive_opaque_name(inputs: NameInputs, key: SecretKey) -> OpaqueName:
         + key.octets
     )
     return OpaqueName(digest_hex=hashlib.md5(material).hexdigest(), extension=inputs.extension)
-
-
-def classify_name(filename: str) -> NameClass:
-    """Classify a filename by how guessable its stem is.
-
-    Opaque: stem is exactly 32 lowercase hex chars.  SequentialGuessable:
-    stem is a bare decimal integer (the counter-per-upload pattern).
-    Everything else is Other.
-    """
-    if not filename:
-        raise InvalidInput("filename must be non-empty")
-    stem, dot, _ext = filename.rpartition(".")
-    if not dot:
-        stem = filename
-    if _HEX32_RE.match(stem):
-        return NameClass.OPAQUE
-    if _DECIMAL_RE.match(stem):
-        return NameClass.SEQUENTIAL_GUESSABLE
-    return NameClass.OTHER

@@ -11,25 +11,31 @@ Three placement policies, strongest first:
 
 Planning is pure; materialization writes the directory and artifacts and is
 idempotent.  Verification re-checks everything on disk and reports which
-protection each violation breaches.
+protection each violation breaches.  A blob is reached one way only, by
+``open_blob`` under the held vault directory.
 """
 
 from __future__ import annotations
 
 import enum
+import errno
 import html
 import os
 import stat
 from dataclasses import dataclass, field
 from pathlib import PurePosixPath, Path
 
-from .errors import ArtifactConflict, IoFailure, PolicyPathMismatch
+from .errors import ArtifactConflict, BlobMissing, IoFailure, PolicyPathMismatch
 
 DENY_CONFIG_NAME = ".htaccess"
 INDEX_PLACEHOLDER_NAME = "index.html"
 DEFAULT_PLACEHOLDER_MESSAGE = "Access to this directory is forbidden"
 
 VAULT_DIR_MODE = 0o700
+
+# O_NONBLOCK only keeps the open from waiting on a FIFO planted under a
+# blob's name; reads of a regular file ignore it.
+_BLOB_FLAGS = os.O_RDONLY | os.O_NOFOLLOW | os.O_CLOEXEC | os.O_NONBLOCK
 
 
 class PlacementPolicy(enum.Enum):
@@ -231,3 +237,26 @@ def verify_layout(layout: VaultLayout) -> list[LayoutViolation]:
             )
 
     return violations
+
+
+def open_blob(vault_fd: int, name: str) -> tuple[int, int]:
+    """Open one blob relative to the held vault directory: (fd, size).
+
+    A storage name has no ``/``, and O_NOFOLLOW refuses a symlink planted
+    under it, so the open cannot leave the vault.  A missing name, a symlink
+    or anything but a regular file raises BlobMissing, with no fd left open.
+    """
+    try:
+        fd = os.open(name, _BLOB_FLAGS, dir_fd=vault_fd)
+    except OSError as exc:
+        if exc.errno not in (errno.ENOENT, errno.ELOOP):
+            raise
+        raise BlobMissing("blob missing") from None
+    try:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            raise BlobMissing("blob is not a regular file")
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd, st.st_size

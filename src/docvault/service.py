@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import secrets
+import sys
 import threading
 import time
 import weakref
@@ -158,7 +159,6 @@ class VaultCore:
                         upload_timestamp=ts,
                         opaque_name=name,
                         checksum=sha.hexdigest(),
-                        policy=self.config.policy,
                     )
                     os.replace(
                         tmp_name, rendered, src_dir_fd=self.vault_fd, dst_dir_fd=self.vault_fd
@@ -421,6 +421,13 @@ class VaultHTTPServer(ThreadingHTTPServer):
     def __init__(self, address, core: VaultCore):
         super().__init__(address, VaultRequestHandler)
         self.core = core
+
+    def handle_error(self, request, client_address):
+        # A client that goes away ends its connection quietly.  The write
+        # that meets the reset is not the last to raise: handle_one_request
+        # flushes after the verb, and finish() closes the buffered wfile.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
 
 class VaultService:

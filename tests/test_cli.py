@@ -5,10 +5,11 @@ from unittest import mock
 import pytest
 
 from docvault.cli import main
+from docvault.config import load_config
 from docvault.journal import JournalStore
 from docvault.metadata import DocumentRecord, MetadataStore
 from docvault.naming import OpaqueName
-from docvault.placement import PlacementPolicy, emit_deny_config
+from docvault.placement import emit_deny_config
 
 from conftest import StaticFixtureServer
 
@@ -38,7 +39,6 @@ def _record(i: int, owner: str) -> DocumentRecord:
         upload_timestamp=1_000_000 + i,
         opaque_name=OpaqueName(hashlib.md5(b"%d" % i).hexdigest(), "pdf"),
         checksum="0" * 64,
-        policy=PlacementPolicy.DENIED_SUBDIR,
     )
 
 
@@ -193,6 +193,23 @@ class TestFsck:
         assert main(["fsck"]) == 1
         assert "checksum-mismatch" in capsys.readouterr().out
 
+    def test_missing_deny_file_reported(self, env, capsys, tmp_path):
+        main(["init"])
+        self._ingest(env, tmp_path, capsys)
+        deny = env / "webroot" / "docs" / ".htaccess"
+        deny.unlink()
+        assert main(["fsck"]) == 1
+        assert f"layout 1b: {deny} (protection file missing)" in capsys.readouterr().out
+
+    def test_open_vault_mode_reported(self, env, capsys, tmp_path):
+        main(["init"])
+        self._ingest(env, tmp_path, capsys)
+        vault = env / "webroot" / "docs"
+        vault.chmod(0o755)
+        assert main(["fsck"]) == 1
+        out = capsys.readouterr().out
+        assert f"layout perm: {vault} (" in out and "1 issue(s) found" in out
+
     def test_store_open_failure(self, env, capsys, monkeypatch):
         monkeypatch.setenv("VAULT_STORE", "/proc/definitely/not/writable/store")
         assert main(["fsck"]) == 2
@@ -284,6 +301,36 @@ class TestConfigFile:
         )
         assert main(["--config", str(cfg), "init"]) == 0
         assert (webroot / "docs" / "index.html").exists()
+
+    def _key_config(self, tmp_path, monkeypatch, extra: str):
+        for var in ("VAULT_WEBROOT", "VAULT_DIR", "VAULT_POLICY", "VAULT_KEY_FILE",
+                    "VAULT_STORE", "VAULT_KEY"):
+            monkeypatch.delenv(var, raising=False)
+        webroot = tmp_path / "www"
+        webroot.mkdir()
+        cfg = tmp_path / "vault.conf"
+        cfg.write_text(
+            f"VAULT_WEBROOT={webroot}\n"
+            f"VAULT_DIR={webroot / 'docs'}\n"
+            f"VAULT_STORE={tmp_path / 's.journal'}\n" + extra
+        )
+        return str(cfg)
+
+    def test_key_in_config_file(self, tmp_path, monkeypatch, capsys):
+        cfg = self._key_config(tmp_path, monkeypatch, "VAULT_KEY=config-file-secret-key-012345\n")
+        assert main(["--config", cfg, "init"]) == 0
+        assert main(["--config", cfg, "ls"]) == 0
+        config = load_config(cfg)
+        assert config.load_key().octets == b"config-file-secret-key-012345"
+        assert "config-file-secret-key" not in repr(config)
+
+    def test_key_file_wins_over_key(self, tmp_path, monkeypatch):
+        key = tmp_path / "key"
+        key.write_bytes(b"key-file-secret-key-0123456789")
+        cfg = self._key_config(
+            tmp_path, monkeypatch, f"VAULT_KEY_FILE={key}\nVAULT_KEY=config-file-secret-key-012345\n"
+        )
+        assert load_config(cfg).load_key().octets == b"key-file-secret-key-0123456789"
 
     def test_missing_config_exit_2(self, tmp_path, monkeypatch):
         for var in ("VAULT_WEBROOT", "VAULT_DIR", "VAULT_KEY_FILE", "VAULT_STORE"):

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -178,6 +179,26 @@ class TestStreaming:
         os.mkdir(name, dir_fd=vault)
         with pytest.raises(BlobMissing):
             stream_document(record, vault, proof)
+
+    def test_fifo_under_opaque_name_is_missing(self, tmp_path):
+        record, vault, proof = stored(tmp_path, b"data")
+        name = record.opaque_name.render()
+        os.unlink(name, dir_fd=vault)
+        os.mkfifo(tmp_path / "vault" / name)
+        raised = []
+
+        def download():
+            try:
+                stream_document(record, vault, proof)
+            except BlobMissing:
+                raised.append(BlobMissing)
+
+        # an open that waits for a FIFO's writer would hold the thread forever
+        thread = threading.Thread(target=download, daemon=True)
+        thread.start()
+        thread.join(timeout=3)
+        assert not thread.is_alive()
+        assert raised == [BlobMissing]
 
     def test_requires_proof(self, tmp_path):
         record, vault, _ = stored(tmp_path, b"data")

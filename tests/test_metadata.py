@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 import sys
 import tempfile
@@ -21,7 +22,6 @@ from docvault.metadata import (
     new_doc_id,
 )
 from docvault.naming import OpaqueName
-from docvault.placement import PlacementPolicy
 
 
 def make_record(i: int = 0, owner: str = "alice", **kw) -> DocumentRecord:
@@ -35,7 +35,6 @@ def make_record(i: int = 0, owner: str = "alice", **kw) -> DocumentRecord:
         upload_timestamp=1_000_000 + i,
         opaque_name=OpaqueName(digest, "pdf"),
         checksum=hashlib.sha256(b"x" * 10).hexdigest(),
-        policy=PlacementPolicy.DENIED_SUBDIR,
     )
     defaults.update(kw)
     return DocumentRecord(**defaults)
@@ -61,19 +60,19 @@ class TestPutGet:
         with pytest.raises(DuplicateOpaqueName):
             store.put_record(clone)
 
-    def test_get_by_opaque_name(self, store):
+    def test_name_taken(self, store):
         record = make_record()
         store.put_record(record)
-        assert store.get_by_opaque_name(record.opaque_name) == record
+        assert store.name_taken(record.opaque_name.render())
 
     def test_absent_opaque_name(self, store):
-        assert store.get_by_opaque_name(OpaqueName("0" * 32, "pdf")) is None
+        assert not store.name_taken(OpaqueName("0" * 32, "pdf").render())
 
     def test_extension_is_part_of_the_name(self, store):
         record = make_record()
         store.put_record(record)
         other_ext = OpaqueName(record.opaque_name.digest_hex, "txt")
-        assert store.get_by_opaque_name(other_ext) is None
+        assert not store.name_taken(other_ext.render())
 
 
 class TestDurability:
@@ -83,6 +82,15 @@ class TestDurability:
         with JournalStore(path) as journal:
             MetadataStore(journal).put_record(record)
         # simulated restart: a fresh process would do exactly this
+        with JournalStore(path) as journal:
+            assert MetadataStore(journal).get_by_id(record.doc_id) == record
+
+    def test_journal_line_with_policy_replays(self, tmp_path):
+        # journals written before records dropped their placement policy
+        path = tmp_path / "store.journal"
+        record = make_record()
+        with JournalStore(path) as journal:
+            journal.put("doc:" + record.doc_id, {**record.to_dict(), "policy": "denied-subdir"})
         with JournalStore(path) as journal:
             assert MetadataStore(journal).get_by_id(record.doc_id) == record
 
@@ -344,7 +352,7 @@ class TestDelete:
         store.put_record(record)
         assert store.delete_record(record.doc_id)
         assert store.get_by_id(record.doc_id) is None
-        assert store.get_by_opaque_name(record.opaque_name) is None
+        assert not store.name_taken(record.opaque_name.render())
 
     def test_delete_absent(self, store):
         assert not store.delete_record("dmissing")
@@ -426,6 +434,40 @@ class TestConsistencySweep:
         blob.write_bytes(bytes(data))
         issues = check_consistency(store, vault)
         assert [i.kind for i in issues] == ["checksum-mismatch"]
+
+    def test_symlink_under_record_name_is_dangling(self, store, tmp_path):
+        # the target holds the record's exact bytes, but a download refuses
+        # the symlink, so fsck must too
+        vault = tmp_path / "vault"
+        vault.mkdir()
+        record = self._stored(store, vault, b"same bytes")
+        blob = vault / record.opaque_name.render()
+        target = tmp_path / "outside.pdf"
+        blob.rename(target)
+        blob.symlink_to(target)
+        issues = check_consistency(store, vault)
+        assert [(i.kind, i.doc_id, i.path) for i in issues] == [
+            ("dangling-record", record.doc_id, str(blob))]
+
+    def test_fifo_under_record_name_is_dangling(self, store, tmp_path):
+        vault = tmp_path / "vault"
+        vault.mkdir()
+        record = self._stored(store, vault, b"data")
+        blob = vault / record.opaque_name.render()
+        blob.unlink()
+        os.mkfifo(blob)  # opening it for reading must not wait for a writer
+        issues = check_consistency(store, vault)
+        assert [i.kind for i in issues] == ["dangling-record"]
+
+    def test_dangling_symlink_is_orphan(self, store, tmp_path):
+        vault = tmp_path / "vault"
+        vault.mkdir()
+        self._stored(store, vault, b"hello world")
+        (vault / ("e" * 32 + ".pdf")).symlink_to(tmp_path / "nowhere")
+        (vault / "subdir").mkdir()
+        issues = check_consistency(store, vault)
+        assert [(i.kind, i.path) for i in issues] == [
+            ("orphan-blob", str(vault / ("e" * 32 + ".pdf")))]
 
     def test_size_mismatch(self, store, tmp_path):
         vault = tmp_path / "vault"

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from docvault.errors import InvalidInput, WeakKey
 from docvault.naming import (
     MIN_KEY_OCTETS,
-    NameClass,
     NameInputs,
     OpaqueName,
     SecretKey,
-    classify_name,
     derive_opaque_name,
 )
 
@@ -92,40 +90,6 @@ class TestKeyLoading:
         p.write_bytes(b"0123456789abcdef\n\n")
         assert SecretKey.load_file(p).octets == b"0123456789abcdef\n"
 
-    def test_load_env(self, monkeypatch):
-        monkeypatch.setenv("TEST_VAULT_KEY", "0123456789abcdef")
-        assert SecretKey.load_env("TEST_VAULT_KEY").octets == b"0123456789abcdef"
-
-    def test_load_env_missing(self, monkeypatch):
-        monkeypatch.delenv("TEST_VAULT_KEY", raising=False)
-        with pytest.raises(WeakKey):
-            SecretKey.load_env("TEST_VAULT_KEY")
-
-
-class TestClassify:
-    @pytest.mark.parametrize(
-        "name,expected",
-        [
-            ("6bd36deecd3332838d4c55e456994bc5.pdf", NameClass.OPAQUE),
-            ("b58de5617deb7ee8a9396de12d83b784.pdf", NameClass.OPAQUE),
-            ("1.pdf", NameClass.SEQUENTIAL_GUESSABLE),
-            ("2.pdf", NameClass.SEQUENTIAL_GUESSABLE),
-            ("42", NameClass.SEQUENTIAL_GUESSABLE),
-            ("index.html", NameClass.OTHER),
-            ("report-final.pdf", NameClass.OTHER),
-            # uppercase hex is not the canonical opaque form
-            ("6BD36DEECD3332838D4C55E456994BC5.pdf", NameClass.OTHER),
-            # 31 hex chars, one short
-            ("6bd36deecd3332838d4c55e456994bc.pdf", NameClass.OTHER),
-        ],
-    )
-    def test_cases(self, name, expected):
-        assert classify_name(name) == expected
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInput):
-            classify_name("")
-
 
 usernames = st.text(
     st.characters(blacklist_characters="\x00", blacklist_categories=("Cs",)),
@@ -143,7 +107,6 @@ class TestProperties:
         name = derive_opaque_name(NameInputs(username, ts, ext), KEY)
         rendered = name.render()
         assert OpaqueName.parse(rendered) == name
-        assert classify_name(rendered) == NameClass.OPAQUE
 
     @given(usernames, timestamps, extensions)
     @settings(max_examples=200)

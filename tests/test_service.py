@@ -5,6 +5,7 @@ import json
 import os
 import socket
 import struct
+import threading
 import time
 from urllib.parse import unquote
 
@@ -730,3 +731,47 @@ class TestBlobFds:
                                f"Authorization: Bearer {user_token}\r\n\r\n").encode())
 
         assert open_blob_fds(svc.core.vault_dir) == 0
+
+
+def handler_threads_done(timeout: float = 3.0) -> bool:
+    """Whether every connection thread has ended within ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while any("process_request_thread" in t.name for t in threading.enumerate()):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+class TestClientGoesAway:
+    """A client that resets its connection mid-reply ends it quietly."""
+
+    def test_reset_mid_download_prints_nothing(self, svc, user_token, capfd):
+        big = upload(svc, user_token, "big.bin", bytes(range(256)) * 8192).json()
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(2)
+            sock.connect(svc.address)
+            sock.sendall((f"GET /documents/{big['doc_id']} HTTP/1.1\r\nHost: x\r\n"
+                          f"Authorization: Bearer {user_token}\r\n\r\n").encode())
+            assert sock.recv(1024).startswith(b"HTTP/1.1 200 ")
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        assert handler_threads_done()
+        assert requests.get(f"{svc.base_url}/healthz").status_code == 200
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_reset_before_a_small_reply_prints_nothing(self, svc, monkeypatch, capfd):
+        # the whole reply sits in wfile's buffer, so the flush after the verb
+        # and the close after the connection are what meet the reset
+        route = VaultRequestHandler._route
+
+        def slow_route(handler, length):
+            time.sleep(0.2)
+            return route(handler, length)
+
+        monkeypatch.setattr(VaultRequestHandler, "_route", slow_route)
+        with socket.create_connection(svc.address) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        assert handler_threads_done()
+        assert "Traceback" not in capfd.readouterr().err
