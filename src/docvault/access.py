@@ -82,16 +82,15 @@ class TokenStore:
         token_id = "t" + secrets.token_hex(8)
         secret = secrets.token_hex(24)
         plaintext = f"{token_id}.{secret}"
-        with self._journal.lock:
-            self._journal.put(
-                _TOKEN_PREFIX + token_id,
-                {
-                    "token_id": token_id,
-                    "secret_hash": _hash_secret(secret),
-                    "username": username,
-                    "role": role.value,
-                },
-            )
+        self._journal.put(
+            _TOKEN_PREFIX + token_id,
+            {
+                "token_id": token_id,
+                "secret_hash": _hash_secret(secret),
+                "username": username,
+                "role": role.value,
+            },
+        )
         return token_id, plaintext
 
     def revoke_token(self, token_id: str) -> bool:

@@ -158,10 +158,11 @@ def looks_like_listing(base_url: str, body: str) -> bool:
 
 
 class Auditor:
-    def __init__(self, target: ProbeTarget, session: requests.Session | None = None):
+    def __init__(self, target: ProbeTarget):
         self.target = target
-        self.session = session or requests.Session()
+        self.session = requests.Session()
         self.probes_sent = 0
+        self.listed: list[str] = []  # children an exposed listing showed
 
     def _get(self, url: str) -> requests.Response:
         if self.probes_sent and self.target.request_delay_ms:
@@ -179,14 +180,14 @@ class Auditor:
         except requests.RequestException:
             return Verdict.INDETERMINATE, []
         if resp.ok and looks_like_listing(url, resp.text):
+            self.listed = sorted(_directory_children(url, resp.text))
             return Verdict.FAIL, [
                 Finding(
                     Rule.R2_LISTING_OR_INDEX,
                     Severity.CRITICAL,
                     url,
                     resp.status_code,
-                    "directory listing exposed "
-                    f"({len(_directory_children(url, resp.text))} entries visible)",
+                    f"directory listing exposed ({len(self.listed)} entries visible)",
                 )
             ]
         return Verdict.PASS, []
@@ -255,7 +256,8 @@ def run_audit(target: ProbeTarget, known_names: list[str] | None = None) -> Audi
     Overall pass requires every rule to pass: the protections are only
     effective in combination, so a single failing rule fails the audit.
     When no known names are supplied, the filenames discovered by the
-    sequential probe double as direct-access evidence.
+    sequential probe double as direct-access evidence; failing those, the
+    children an exposed listing showed, at most max_sequential of them.
     """
     auditor = Auditor(target)
     report = AuditReport(target=target)
@@ -268,9 +270,11 @@ def run_audit(target: ProbeTarget, known_names: list[str] | None = None) -> Audi
     report.verdicts[Rule.R3_GUESSABLE_NAMES] = v3
     report.findings.extend(f3)
 
-    names = list(known_names) if known_names else []
-    if not names:
-        names = [f.url.rsplit("/", 1)[-1] for f in f3]
+    names = (
+        list(known_names or ())
+        or [f.url.rsplit("/", 1)[-1] for f in f3]
+        or auditor.listed[: target.max_sequential]
+    )
     if names:
         v14, f14 = auditor.probe_direct_access(names)
     elif v2 is Verdict.INDETERMINATE and v3 is Verdict.INDETERMINATE:

@@ -1,8 +1,8 @@
-"""Service configuration: flags, environment variables, key=value files.
+"""Service configuration: environment variables and key=value files.
 
 Every knob has a VAULT_* environment variable; an optional config file
-(one key=value per line, same names) fills in whatever the environment and
-flags leave unset.
+(one key=value per line, same names) fills in whatever the environment
+leaves unset.
 """
 
 from __future__ import annotations
@@ -89,19 +89,14 @@ def _parse_bind(bind: str) -> tuple[str, int]:
 _POLICY_ALIASES = {p.value: p for p in PlacementPolicy}
 
 
-def load_config(
-    config_file: str | None = None, overrides: dict[str, str] | None = None
-) -> ServiceConfig:
-    """Merge flag overrides > environment > config file, then validate."""
+def load_config(config_file: str | None = None) -> ServiceConfig:
+    """Merge environment > config file, then validate."""
     values: dict[str, str] = {}
     if config_file:
         values.update(parse_config_file(config_file))
     for var in ENV_VARS:
         if var in os.environ:
             values[var] = os.environ[var]
-    for k, v in (overrides or {}).items():
-        if v is not None:
-            values[k] = v
 
     missing = [v for v in ("VAULT_WEBROOT", "VAULT_DIR", "VAULT_STORE") if not values.get(v)]
     if missing:

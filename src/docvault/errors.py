@@ -30,7 +30,10 @@ class ArtifactConflict(VaultError):
     """A protection artifact already exists with different content."""
 
     def __init__(self, path):
-        super().__init__(f"refusing to overwrite {path} (content differs; use force)")
+        super().__init__(
+            f"refusing to overwrite {path}: its content differs; restore the file "
+            "or remove it"
+        )
         self.path = str(path)
 
 

@@ -9,10 +9,11 @@ Three placement policies, strongest first:
                     an index placeholder suppresses auto-generated listings
                     and opaque names prevent guessing.
 
-Planning is pure; materialization writes the directory and artifacts and is
-idempotent.  Verification re-checks everything on disk and reports which
-protection each violation breaches.  A blob is reached one way only, by
-``open_blob`` under the held vault directory.
+Planning reads the disk only to resolve symlinks, so containment is decided
+on the paths the kernel opens; materialization writes the directory and
+artifacts and is idempotent.  Verification re-checks everything on disk and
+reports which protection each violation breaches.  A blob is reached one
+way only, by ``open_blob`` under the held vault directory.
 """
 
 from __future__ import annotations
@@ -66,25 +67,14 @@ class MaterializeResult:
     already_compliant: bool
 
 
-def _components(p: str) -> tuple[str, ...]:
-    # Lexical normalization only; "." and ".." are resolved without touching
-    # the filesystem so planning works for paths that do not exist yet.
-    parts: list[str] = []
-    for part in PurePosixPath(p).parts:
-        if part == ".":
-            continue
-        if part == "..":
-            if len(parts) > 1:
-                parts.pop()
-            continue
-        parts.append(part)
-    return tuple(parts)
+def _below(path: str, root: str) -> bool:
+    # Both already resolved; component-wise, so /a/b-evil is not below /a/b.
+    return path != root and os.path.commonpath((path, root)) == root
 
 
 def is_inside(candidate: str, ancestor: str) -> bool:
-    """Component-wise containment: /a/b-evil is NOT inside /a/b."""
-    c, a = _components(candidate), _components(ancestor)
-    return len(c) > len(a) and c[: len(a)] == a
+    """Strictly below, once the kernel has resolved both paths' symlinks."""
+    return _below(os.path.realpath(candidate), os.path.realpath(ancestor))
 
 
 def emit_deny_config() -> bytes:
@@ -114,21 +104,21 @@ def emit_index_placeholder(message: str | None = None) -> bytes:
     return doc.encode("utf-8")
 
 
-def plan_layout(
-    policy: PlacementPolicy,
-    webroot: str,
-    vault_dir: str,
-    placeholder_message: str | None = DEFAULT_PLACEHOLDER_MESSAGE,
-) -> VaultLayout:
-    """Validate the policy/path combination and list the artifacts it needs."""
+def plan_layout(policy: PlacementPolicy, webroot: str, vault_dir: str) -> VaultLayout:
+    """Validate the policy/path combination and list the artifacts it needs.
+
+    Containment is decided on the resolved paths, each resolved once; the
+    layout keeps the paths as given.
+    """
     if not PurePosixPath(webroot).is_absolute():
         raise PolicyPathMismatch(f"webroot must be absolute: {webroot!r}")
     if not PurePosixPath(vault_dir).is_absolute():
         raise PolicyPathMismatch(f"vault_dir must be absolute: {vault_dir!r}")
 
-    inside = is_inside(vault_dir, webroot)
+    root, vault = os.path.realpath(webroot), os.path.realpath(vault_dir)
+    inside = _below(vault, root)
     if policy is PlacementPolicy.OUTSIDE_WEBROOT:
-        if inside or _components(vault_dir) == _components(webroot):
+        if inside or vault == root:
             raise PolicyPathMismatch(
                 f"outside-webroot placement, but {vault_dir} lies inside {webroot}"
             )
@@ -139,8 +129,8 @@ def plan_layout(
                 f"{policy.value} placement requires vault_dir inside {webroot}, "
                 f"got {vault_dir}"
             )
-        rel = "/".join(_components(vault_dir)[len(_components(webroot)):])
-        placeholder = emit_index_placeholder(placeholder_message)
+        rel = os.path.relpath(vault, root)
+        placeholder = emit_index_placeholder(DEFAULT_PLACEHOLDER_MESSAGE)
         if policy is PlacementPolicy.DENIED_SUBDIR:
             # Placeholder included as well: layered protection costs nothing
             # and covers a server that ignores the deny file.
@@ -156,12 +146,12 @@ def plan_layout(
     )
 
 
-def materialize_layout(layout: VaultLayout, force: bool = False) -> MaterializeResult:
+def materialize_layout(layout: VaultLayout) -> MaterializeResult:
     """Create the vault directory and write every protection artifact.
 
     Idempotent: a second run over a compliant layout changes nothing and
     reports already_compliant.  A foreign file at an artifact path is never
-    overwritten unless force is set.
+    overwritten.
     """
     created: list[str] = []
     vault = Path(layout.vault_dir)
@@ -179,8 +169,7 @@ def materialize_layout(layout: VaultLayout, force: bool = False) -> MaterializeR
             if target.exists():
                 if target.read_bytes() == content:
                     continue
-                if not force:
-                    raise ArtifactConflict(target)
+                raise ArtifactConflict(target)
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_bytes(content)
             created.append(str(target))
@@ -195,16 +184,13 @@ def verify_layout(layout: VaultLayout) -> list[LayoutViolation]:
     violations: list[LayoutViolation] = []
     vault = Path(layout.vault_dir)
 
-    if layout.policy is PlacementPolicy.OUTSIDE_WEBROOT:
-        if is_inside(layout.vault_dir, layout.webroot):
-            violations.append(
-                LayoutViolation("1a", layout.vault_dir, "vault dir is inside the webroot")
-            )
-    else:
-        if not is_inside(layout.vault_dir, layout.webroot):
-            violations.append(
-                LayoutViolation("1a", layout.vault_dir, "vault dir is not inside the webroot")
-            )
+    # Resolved again here: a path swapped for a symlink since planning shows.
+    inside = is_inside(layout.vault_dir, layout.webroot)
+    if inside == (layout.policy is PlacementPolicy.OUTSIDE_WEBROOT):
+        where = "inside" if inside else "not inside"
+        violations.append(
+            LayoutViolation("1a", layout.vault_dir, f"vault dir is {where} the webroot")
+        )
 
     if not vault.is_dir():
         violations.append(LayoutViolation("1a", str(vault), "vault dir missing"))

@@ -185,6 +185,29 @@ class TestRunAudit:
         assert report.passed
         assert report.findings == []
 
+    def test_listed_names_probed_for_direct_access(self, tmp_path):
+        # Opaque names defeat the sequential probe, but a listing shows them.
+        root = tmp_path / "listed"
+        root.mkdir()
+        names = sorted(f"{c * 32}.pdf" for c in "abc")
+        for name in names:
+            (root / name).write_bytes(b"%PDF-1.4 listed")
+        server = StaticFixtureServer(root)
+        server.start()
+        try:
+            report = run_audit(ProbeTarget(server.base_url, max_sequential=2))
+        finally:
+            server.stop()
+        assert report.verdicts[Rule.R2_LISTING_OR_INDEX] is Verdict.FAIL
+        assert report.verdicts[Rule.R3_GUESSABLE_NAMES] is Verdict.PASS
+        assert report.verdicts[Rule.R1_DIRECT_ACCESS] is Verdict.FAIL
+        assert report.verdicts[Rule.R4_STATIC_SERVING] is Verdict.FAIL
+        # at most max_sequential of the listed names are fetched
+        assert [f.url for f in report.findings_for(Rule.R1_DIRECT_ACCESS)] == [
+            server.base_url + name for name in names[:2]
+        ]
+        assert report.probes_sent == 1 + 2 + 2
+
     def test_unreachable_all_indeterminate(self):
         report = run_audit(ProbeTarget("http://127.0.0.1:1/", timeout=0.2))
         assert all(v is Verdict.INDETERMINATE for v in report.verdicts.values())

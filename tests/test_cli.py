@@ -63,6 +63,48 @@ class TestInit:
         assert "refusing to overwrite" in capsys.readouterr().err
 
 
+class TestResolvedPlacement:
+    """init, serve and fsck decide containment on the resolved paths."""
+
+    @pytest.fixture
+    def outside(self, env, monkeypatch):
+        monkeypatch.setenv("VAULT_POLICY", "outside-webroot")
+        monkeypatch.setenv("VAULT_DIR", str(env / "vault"))
+        (env / "webroot" / "docs").mkdir(mode=0o700)
+        return env / "vault"
+
+    def test_outside_vault_symlinked_into_webroot_refused(self, env, outside, capsys):
+        outside.symlink_to(env / "webroot" / "docs")
+        assert main(["init"]) == 2
+        assert "lies inside" in capsys.readouterr().err
+        assert main(["serve"]) == 2
+        assert "lies inside" in capsys.readouterr().err
+
+    def test_vault_swapped_for_symlink_after_init(self, env, outside, capsys):
+        assert main(["init"]) == 0
+        assert main(["fsck"]) == 0
+        outside.rmdir()
+        outside.symlink_to(env / "webroot" / "docs")
+        capsys.readouterr()
+        assert main(["fsck"]) == 2
+        assert "lies inside" in capsys.readouterr().err
+
+    def test_webroot_through_symlink(self, env, monkeypatch, capsys):
+        (env / "site").symlink_to(env / "webroot")
+        monkeypatch.setenv("VAULT_WEBROOT", str(env / "site"))
+        assert main(["init"]) == 0
+        assert (env / "webroot" / "docs" / ".htaccess").read_bytes() == emit_deny_config()
+        assert main(["fsck"]) == 0
+
+    def test_dotdot_after_symlink(self, env, monkeypatch, capsys):
+        (env / "elsewhere" / "deep").mkdir(parents=True)
+        (env / "webroot" / "link").symlink_to(env / "elsewhere" / "deep")
+        monkeypatch.setenv("VAULT_DIR", f"{env}/webroot/link/../docs")
+        assert main(["init"]) == 2
+        assert "requires vault_dir inside" in capsys.readouterr().err
+        assert not (env / "webroot" / "docs").exists()
+
+
 class TestIngestLsGetRm:
     def test_ingest_and_fetch(self, env, capsys, tmp_path):
         main(["init"])

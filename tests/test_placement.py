@@ -9,6 +9,7 @@ from docvault.errors import ArtifactConflict, PolicyPathMismatch
 from docvault.placement import (
     DEFAULT_PLACEHOLDER_MESSAGE,
     PlacementPolicy,
+    VaultLayout,
     emit_deny_config,
     emit_index_placeholder,
     is_inside,
@@ -139,17 +140,9 @@ class TestMaterialize:
         target = Path(layout.webroot) / "docs" / "index.html"
         target.parent.mkdir(parents=True)
         target.write_bytes(b"someone else's index")
-        with pytest.raises(ArtifactConflict):
+        with pytest.raises(ArtifactConflict, match="restore the file or remove it"):
             materialize_layout(layout)
         assert target.read_bytes() == b"someone else's index"
-
-    def test_force_overwrites(self, tmp_path):
-        layout = _tmp_layout(tmp_path, PlacementPolicy.OBSCURED_SUBDIR)
-        target = Path(layout.webroot) / "docs" / "index.html"
-        target.parent.mkdir(parents=True)
-        target.write_bytes(b"foreign")
-        materialize_layout(layout, force=True)
-        assert target.read_bytes() == dict(layout.artifacts)["docs/index.html"]
 
     def test_restrictive_permissions(self, tmp_path):
         layout = _tmp_layout(tmp_path, PlacementPolicy.DENIED_SUBDIR)
@@ -189,6 +182,58 @@ class TestVerify:
         layout = _tmp_layout(tmp_path, PlacementPolicy.OUTSIDE_WEBROOT)
         violations = verify_layout(layout)
         assert violations and violations[0].rule == "1a"
+
+
+class TestResolvedPaths:
+    """Containment is decided on the paths the kernel resolves, not the strings."""
+
+    @pytest.fixture
+    def www(self, tmp_path):
+        (tmp_path / "www" / "docs").mkdir(parents=True, mode=0o700)
+        return tmp_path / "www"
+
+    def test_outside_vault_symlinked_into_webroot(self, tmp_path, www):
+        (tmp_path / "vault").symlink_to(www / "docs")
+        with pytest.raises(PolicyPathMismatch):
+            plan_layout(PlacementPolicy.OUTSIDE_WEBROOT, str(www), str(tmp_path / "vault"))
+        layout = VaultLayout(PlacementPolicy.OUTSIDE_WEBROOT, str(www), str(tmp_path / "vault"))
+        assert [v.rule for v in verify_layout(layout)] == ["1a"]
+
+    def test_vault_swapped_for_symlink_after_init(self, tmp_path, www):
+        layout = plan_layout(PlacementPolicy.OUTSIDE_WEBROOT, str(www), str(tmp_path / "vault"))
+        materialize_layout(layout)
+        assert verify_layout(layout) == []
+        os.rmdir(layout.vault_dir)
+        os.symlink(www / "docs", layout.vault_dir)
+        violations = verify_layout(layout)
+        assert [(v.rule, v.detail) for v in violations] == [
+            ("1a", "vault dir is inside the webroot")
+        ]
+
+    def test_webroot_through_symlink(self, tmp_path, www):
+        (tmp_path / "site").symlink_to(www)
+        layout = plan_layout(
+            PlacementPolicy.DENIED_SUBDIR, str(tmp_path / "site"), str(www / "docs")
+        )
+        assert dict(layout.artifacts)["docs/.htaccess"] == emit_deny_config()
+        assert layout.webroot == str(tmp_path / "site")
+        assert layout.vault_dir == str(www / "docs")
+        materialize_layout(layout)
+        assert (www / "docs" / ".htaccess").read_bytes() == emit_deny_config()
+        assert verify_layout(layout) == []
+
+    def test_dotdot_after_symlink(self, tmp_path, www):
+        (tmp_path / "elsewhere" / "deep").mkdir(parents=True)
+        (www / "link").symlink_to(tmp_path / "elsewhere" / "deep")
+        vault = f"{www}/link/../docs"  # lexically www/docs; really elsewhere/docs
+        with pytest.raises(PolicyPathMismatch):
+            plan_layout(PlacementPolicy.DENIED_SUBDIR, str(www), vault)
+        layout = plan_layout(PlacementPolicy.OUTSIDE_WEBROOT, str(www), vault)
+        materialize_layout(layout)
+        assert (tmp_path / "elsewhere" / "docs").is_dir()
+        assert verify_layout(layout) == []
+        denied = VaultLayout(PlacementPolicy.DENIED_SUBDIR, str(www), vault)
+        assert [v.rule for v in verify_layout(denied)][0] == "1a"
 
 
 @given(st.sampled_from(list(PlacementPolicy)))
