@@ -162,7 +162,6 @@ class Auditor:
         self.target = target
         self.session = requests.Session()
         self.probes_sent = 0
-        self.listed: list[str] = []  # children an exposed listing showed
 
     def _get(self, url: str) -> requests.Response:
         if self.probes_sent and self.target.request_delay_ms:
@@ -172,25 +171,25 @@ class Auditor:
 
     # -- individual probes -------------------------------------------------
 
-    def probe_listing(self) -> tuple[Verdict, list[Finding]]:
-        """Fetch the directory URL itself and look for an auto-index page."""
+    def probe_listing(self) -> tuple[Verdict, list[Finding], list[str]]:
+        """Look for an auto-index page at the directory URL; also its children."""
         url = self.target.base_url
         try:
             resp = self._get(url)
         except requests.RequestException:
-            return Verdict.INDETERMINATE, []
+            return Verdict.INDETERMINATE, [], []
         if resp.ok and looks_like_listing(url, resp.text):
-            self.listed = sorted(_directory_children(url, resp.text))
+            listed = sorted(_directory_children(url, resp.text))
             return Verdict.FAIL, [
                 Finding(
                     Rule.R2_LISTING_OR_INDEX,
                     Severity.CRITICAL,
                     url,
                     resp.status_code,
-                    f"directory listing exposed ({len(self.listed)} entries visible)",
+                    f"directory listing exposed ({len(listed)} entries visible)",
                 )
-            ]
-        return Verdict.PASS, []
+            ], listed
+        return Verdict.PASS, [], []
 
     def probe_sequential_names(self) -> tuple[Verdict, list[Finding]]:
         """Try 1.ext, 2.ext, ... looking for counter-named documents."""
@@ -262,7 +261,7 @@ def run_audit(target: ProbeTarget, known_names: list[str] | None = None) -> Audi
     auditor = Auditor(target)
     report = AuditReport(target=target)
 
-    v2, f2 = auditor.probe_listing()
+    v2, f2, listed = auditor.probe_listing()
     report.verdicts[Rule.R2_LISTING_OR_INDEX] = v2
     report.findings.extend(f2)
 
@@ -273,7 +272,7 @@ def run_audit(target: ProbeTarget, known_names: list[str] | None = None) -> Audi
     names = (
         list(known_names or ())
         or [f.url.rsplit("/", 1)[-1] for f in f3]
-        or auditor.listed[: target.max_sequential]
+        or listed[: target.max_sequential]
     )
     if names:
         v14, f14 = auditor.probe_direct_access(names)

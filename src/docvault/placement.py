@@ -9,11 +9,12 @@ Three placement policies, strongest first:
                     an index placeholder suppresses auto-generated listings
                     and opaque names prevent guessing.
 
-Planning reads the disk only to resolve symlinks, so containment is decided
-on the paths the kernel opens; materialization writes the directory and
-artifacts and is idempotent.  Verification re-checks everything on disk and
-reports which protection each violation breaches.  A blob is reached one
-way only, by ``open_blob`` under the held vault directory.
+Planning reads the disk only to resolve symlinks: containment is decided on
+the paths both as named and as the kernel resolves them.  Materialization
+writes the directory and artifacts and is idempotent.  Verification
+re-checks everything on disk and reports which protection each violation
+breaches.  A blob is reached one way only, by ``open_blob`` under the held
+vault directory.
 """
 
 from __future__ import annotations
@@ -68,13 +69,49 @@ class MaterializeResult:
 
 
 def _below(path: str, root: str) -> bool:
-    # Both already resolved; component-wise, so /a/b-evil is not below /a/b.
+    # Component-wise, so /a/b-evil is not below /a/b.
     return path != root and os.path.commonpath((path, root)) == root
 
 
 def is_inside(candidate: str, ancestor: str) -> bool:
     """Strictly below, once the kernel has resolved both paths' symlinks."""
     return _below(os.path.realpath(candidate), os.path.realpath(ancestor))
+
+
+def _vault_rel(policy: PlacementPolicy, webroot: str, vault_dir: str) -> str:
+    """The vault's path relative to the webroot ("" for outside-webroot).
+
+    A web server maps a URL onto the webroot by name and then follows
+    symlinks, so a vault is served when it lies under the webroot as named,
+    or when its resolved path lies under the resolved webroot.  Each path is
+    resolved once.  Raises PolicyPathMismatch when the policy does not fit.
+    """
+    # First: realpath would make a relative path absolute.
+    if not PurePosixPath(webroot).is_absolute():
+        raise PolicyPathMismatch(f"webroot must be absolute: {webroot!r}")
+    if not PurePosixPath(vault_dir).is_absolute():
+        raise PolicyPathMismatch(f"vault_dir must be absolute: {vault_dir!r}")
+    root, vault = os.path.realpath(webroot), os.path.realpath(vault_dir)
+    named_root, named_vault = os.path.normpath(webroot), os.path.normpath(vault_dir)
+    if policy is PlacementPolicy.OUTSIDE_WEBROOT:
+        roots = (named_root, root)
+        if any(os.path.commonpath((v, r)) == r for v in (named_vault, vault) for r in roots):
+            raise PolicyPathMismatch(
+                f"outside-webroot placement, but {vault_dir} lies inside {webroot}"
+            )
+        return ""
+    if _below(vault, root):
+        return os.path.relpath(vault, root)
+    # Named below the webroot through a symlink that leads out of it: the
+    # server follows the name, and so do the artifacts written under it.
+    # After a "..", the name no longer says where the kernel goes.
+    if _below(named_vault, named_root) and ".." not in (
+        PurePosixPath(webroot).parts + PurePosixPath(vault_dir).parts
+    ):
+        return os.path.relpath(named_vault, named_root)
+    raise PolicyPathMismatch(
+        f"{policy.value} placement requires vault_dir inside {webroot}, got {vault_dir}"
+    )
 
 
 def emit_deny_config() -> bytes:
@@ -105,42 +142,16 @@ def emit_index_placeholder(message: str | None = None) -> bytes:
 
 
 def plan_layout(policy: PlacementPolicy, webroot: str, vault_dir: str) -> VaultLayout:
-    """Validate the policy/path combination and list the artifacts it needs.
-
-    Containment is decided on the resolved paths, each resolved once; the
-    layout keeps the paths as given.
-    """
-    if not PurePosixPath(webroot).is_absolute():
-        raise PolicyPathMismatch(f"webroot must be absolute: {webroot!r}")
-    if not PurePosixPath(vault_dir).is_absolute():
-        raise PolicyPathMismatch(f"vault_dir must be absolute: {vault_dir!r}")
-
-    root, vault = os.path.realpath(webroot), os.path.realpath(vault_dir)
-    inside = _below(vault, root)
-    if policy is PlacementPolicy.OUTSIDE_WEBROOT:
-        if inside or vault == root:
-            raise PolicyPathMismatch(
-                f"outside-webroot placement, but {vault_dir} lies inside {webroot}"
-            )
-        artifacts: tuple[tuple[str, bytes], ...] = ()
-    else:
-        if not inside:
-            raise PolicyPathMismatch(
-                f"{policy.value} placement requires vault_dir inside {webroot}, "
-                f"got {vault_dir}"
-            )
-        rel = os.path.relpath(vault, root)
+    """Validate the policy/path pair and list its artifacts; paths kept as given."""
+    rel = _vault_rel(policy, webroot, vault_dir)
+    artifacts: tuple[tuple[str, bytes], ...] = ()
+    if policy is not PlacementPolicy.OUTSIDE_WEBROOT:
+        # In a denied subdirectory too: layered protection costs nothing and
+        # covers a server that ignores the deny file.
         placeholder = emit_index_placeholder(DEFAULT_PLACEHOLDER_MESSAGE)
-        if policy is PlacementPolicy.DENIED_SUBDIR:
-            # Placeholder included as well: layered protection costs nothing
-            # and covers a server that ignores the deny file.
-            artifacts = (
-                (f"{rel}/{DENY_CONFIG_NAME}", emit_deny_config()),
-                (f"{rel}/{INDEX_PLACEHOLDER_NAME}", placeholder),
-            )
-        else:
-            artifacts = ((f"{rel}/{INDEX_PLACEHOLDER_NAME}", placeholder),)
-
+        artifacts = ((f"{rel}/{INDEX_PLACEHOLDER_NAME}", placeholder),)
+    if policy is PlacementPolicy.DENIED_SUBDIR:
+        artifacts = ((f"{rel}/{DENY_CONFIG_NAME}", emit_deny_config()),) + artifacts
     return VaultLayout(
         policy=policy, webroot=webroot, vault_dir=vault_dir, artifacts=artifacts
     )
@@ -185,12 +196,10 @@ def verify_layout(layout: VaultLayout) -> list[LayoutViolation]:
     vault = Path(layout.vault_dir)
 
     # Resolved again here: a path swapped for a symlink since planning shows.
-    inside = is_inside(layout.vault_dir, layout.webroot)
-    if inside == (layout.policy is PlacementPolicy.OUTSIDE_WEBROOT):
-        where = "inside" if inside else "not inside"
-        violations.append(
-            LayoutViolation("1a", layout.vault_dir, f"vault dir is {where} the webroot")
-        )
+    try:
+        _vault_rel(layout.policy, layout.webroot, layout.vault_dir)
+    except PolicyPathMismatch as e:
+        violations.append(LayoutViolation("1a", layout.vault_dir, str(e)))
 
     if not vault.is_dir():
         violations.append(LayoutViolation("1a", str(vault), "vault dir missing"))

@@ -49,10 +49,11 @@ def hardened_server(tmp_path):
 class TestListingProbe:
     def test_autoindex_detected(self, vulnerable_server):
         target = ProbeTarget(vulnerable_server.base_url, max_sequential=1)
-        verdict, findings = Auditor(target).probe_listing()
+        verdict, findings, listed = Auditor(target).probe_listing()
         assert verdict is Verdict.FAIL
         assert findings and findings[0].rule is Rule.R2_LISTING_OR_INDEX
         assert findings[0].url == vulnerable_server.base_url
+        assert listed == ["1.pdf", "2.pdf", "3.pdf"]
 
     def test_placeholder_passes(self, tmp_path):
         root = tmp_path / "site"
@@ -62,7 +63,7 @@ class TestListingProbe:
         server = StaticFixtureServer(root)
         server.start()
         try:
-            verdict, findings = Auditor(ProbeTarget(server.base_url)).probe_listing()
+            verdict, findings, _ = Auditor(ProbeTarget(server.base_url)).probe_listing()
         finally:
             server.stop()
         assert verdict is Verdict.PASS
@@ -70,12 +71,12 @@ class TestListingProbe:
 
     def test_denied_dir_passes(self, hardened_server):
         target = ProbeTarget(hardened_server.base_url + "docs/")
-        verdict, findings = Auditor(target).probe_listing()
+        verdict, findings, _ = Auditor(target).probe_listing()
         assert verdict is Verdict.PASS
 
     def test_unreachable_is_indeterminate(self):
         target = ProbeTarget("http://127.0.0.1:1/", timeout=0.2)
-        verdict, findings = Auditor(target).probe_listing()
+        verdict, findings, _ = Auditor(target).probe_listing()
         assert verdict is Verdict.INDETERMINATE
 
 

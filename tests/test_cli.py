@@ -89,6 +89,17 @@ class TestResolvedPlacement:
         assert main(["fsck"]) == 2
         assert "lies inside" in capsys.readouterr().err
 
+    def test_outside_vault_named_through_link_in_webroot(self, env, outside, monkeypatch, capsys):
+        (env / "elsewhere").mkdir(mode=0o700)
+        (env / "webroot" / "link").symlink_to(env / "elsewhere")
+        monkeypatch.setenv("VAULT_DIR", str(env / "webroot" / "link"))
+        assert main(["init"]) == 2
+        assert "lies inside" in capsys.readouterr().err
+        monkeypatch.setenv("VAULT_POLICY", "denied-subdir")
+        assert main(["init"]) == 0
+        assert (env / "elsewhere" / ".htaccess").read_bytes() == emit_deny_config()
+        assert main(["fsck"]) == 0
+
     def test_webroot_through_symlink(self, env, monkeypatch, capsys):
         (env / "site").symlink_to(env / "webroot")
         monkeypatch.setenv("VAULT_WEBROOT", str(env / "site"))

@@ -207,8 +207,38 @@ class TestResolvedPaths:
         os.symlink(www / "docs", layout.vault_dir)
         violations = verify_layout(layout)
         assert [(v.rule, v.detail) for v in violations] == [
-            ("1a", "vault dir is inside the webroot")
+            ("1a", f"outside-webroot placement, but {layout.vault_dir} lies inside {www}")
         ]
+
+    def test_vault_swapped_for_symlink_to_webroot_itself(self, tmp_path, www):
+        # The whole served tree becomes the vault: equality counts as inside,
+        # in verify as in plan.
+        layout = plan_layout(PlacementPolicy.OUTSIDE_WEBROOT, str(www), str(tmp_path / "vault"))
+        materialize_layout(layout)
+        assert verify_layout(layout) == []
+        os.rmdir(layout.vault_dir)
+        os.symlink(www, layout.vault_dir)
+        with pytest.raises(PolicyPathMismatch):
+            plan_layout(PlacementPolicy.OUTSIDE_WEBROOT, str(www), layout.vault_dir)
+        assert [v.rule for v in verify_layout(layout)][0] == "1a"
+
+    def test_named_inside_through_link_leading_out(self, tmp_path, www):
+        # A server maps /link/ to www/link and follows the link, so a vault
+        # named there is served although its resolved path is outside.
+        (tmp_path / "elsewhere" / "vault").mkdir(parents=True, mode=0o700)
+        (www / "link").symlink_to(tmp_path / "elsewhere" / "vault")
+        named = str(www / "link")
+        with pytest.raises(PolicyPathMismatch, match="lies inside"):
+            plan_layout(PlacementPolicy.OUTSIDE_WEBROOT, str(www), named)
+        outside = VaultLayout(PlacementPolicy.OUTSIDE_WEBROOT, str(www), named)
+        assert [v.rule for v in verify_layout(outside)] == ["1a"]
+        # As a denied subdirectory it works: the deny file written through
+        # the link lands in the vault, where the server honours it.
+        layout = plan_layout(PlacementPolicy.DENIED_SUBDIR, str(www), named)
+        assert dict(layout.artifacts)["link/.htaccess"] == emit_deny_config()
+        materialize_layout(layout)
+        assert (tmp_path / "elsewhere" / "vault" / ".htaccess").read_bytes() == emit_deny_config()
+        assert verify_layout(layout) == []
 
     def test_webroot_through_symlink(self, tmp_path, www):
         (tmp_path / "site").symlink_to(www)
@@ -223,17 +253,26 @@ class TestResolvedPaths:
         assert verify_layout(layout) == []
 
     def test_dotdot_after_symlink(self, tmp_path, www):
+        (www / "deep" / "inner").mkdir(parents=True)
+        (www / "link").symlink_to(www / "deep" / "inner")
+        vault = f"{www}/link/../vault"  # named www/vault; really www/deep/vault
+        layout = plan_layout(PlacementPolicy.DENIED_SUBDIR, str(www), vault)
+        assert dict(layout.artifacts)["deep/vault/.htaccess"] == emit_deny_config()
+        materialize_layout(layout)
+        assert (www / "deep" / "vault" / ".htaccess").read_bytes() == emit_deny_config()
+        assert not (www / "vault").exists()
+        assert verify_layout(layout) == []
+
+    def test_dotdot_after_symlink_leading_out(self, tmp_path, www):
         (tmp_path / "elsewhere" / "deep").mkdir(parents=True)
         (www / "link").symlink_to(tmp_path / "elsewhere" / "deep")
-        vault = f"{www}/link/../docs"  # lexically www/docs; really elsewhere/docs
-        with pytest.raises(PolicyPathMismatch):
-            plan_layout(PlacementPolicy.DENIED_SUBDIR, str(www), vault)
-        layout = plan_layout(PlacementPolicy.OUTSIDE_WEBROOT, str(www), vault)
-        materialize_layout(layout)
-        assert (tmp_path / "elsewhere" / "docs").is_dir()
-        assert verify_layout(layout) == []
-        denied = VaultLayout(PlacementPolicy.DENIED_SUBDIR, str(www), vault)
-        assert [v.rule for v in verify_layout(denied)][0] == "1a"
+        vault = f"{www}/link/../docs"  # named www/docs; really elsewhere/docs
+        # Not inside once resolved, and not outside as named: no policy fits.
+        for policy in PlacementPolicy:
+            with pytest.raises(PolicyPathMismatch):
+                plan_layout(policy, str(www), vault)
+            layout = VaultLayout(policy, str(www), vault)
+            assert [v.rule for v in verify_layout(layout)][0] == "1a"
 
 
 @given(st.sampled_from(list(PlacementPolicy)))
