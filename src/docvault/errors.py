@@ -49,6 +49,10 @@ class NotFound(VaultError):
     """No record matches the given identifier."""
 
 
+class InvalidFilename(VaultError):
+    """An upload's filename breaks the stored-name rule."""
+
+
 class InvalidCursor(VaultError):
     """A listing cursor names no live record of that listing."""
 

@@ -111,10 +111,6 @@ class JournalStore:
         with self._lock:
             return self._data.get(key)
 
-    def get_many(self, keys) -> list[dict | None]:
-        with self._lock:
-            return [self._data.get(k) for k in keys]
-
     def items(self, prefix: str = "") -> list[tuple[str, dict]]:
         with self._lock:
             return [(k, v) for k, v in self._data.items() if k.startswith(prefix)]

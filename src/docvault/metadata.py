@@ -9,12 +9,14 @@ has to reveal a storage path.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import secrets
 import sys
 import threading
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, asdict
+from functools import cached_property
 from pathlib import Path
 
 from .errors import BlobMissing, DuplicateOpaqueName, InvalidCursor, StorageFailure
@@ -69,6 +71,11 @@ class DocumentRecord:
             "upload_timestamp": self.upload_timestamp,
         }
 
+    @cached_property
+    def public_row(self) -> bytes:
+        """``public_dict`` as the JSON bytes of a listing row or an upload reply."""
+        return json.dumps(self.public_dict()).encode("utf-8")
+
 
 def new_doc_id() -> str:
     return "d" + secrets.token_hex(12)
@@ -82,13 +89,15 @@ class MetadataStore:
 
     Listings page through a keyset index: the sorted (upload_timestamp,
     doc_id) keys of all records and of each owner's, kept current under the
-    same lock.  A page is a bisect and a slice, and only the rows returned
-    are decoded.
+    same lock.  A page is a bisect and a slice.  A record is decoded once,
+    on its first read, into a map that put_record fills and delete_record
+    empties under the same lock; start-up decodes nothing.
     """
 
     def __init__(self, journal: JournalStore):
         self._journal = journal
         self._by_name: dict[str, str] = {}  # rendered opaque name -> doc_id
+        self._records: dict[str, DocumentRecord] = {}
         self._keys: list[tuple[int, str]] = []
         self._keys_by_owner: dict[str, list[tuple[int, str]]] = {}
         for _, value in journal.items(_DOC_PREFIX):
@@ -114,13 +123,27 @@ class MetadataStore:
                 raise StorageFailure(f"doc_id collision: {record.doc_id}")
             self._journal.put(_DOC_PREFIX + record.doc_id, record.to_dict())
             self._by_name[rendered] = record.doc_id
+            self._records[record.doc_id] = record
             insort(self._keys, key)
             insort(self._keys_by_owner.setdefault(record.owner, []), key)
         return record.doc_id
 
     def get_by_id(self, doc_id: str) -> DocumentRecord | None:
-        value = self._journal.get(_DOC_PREFIX + doc_id)
-        return DocumentRecord.from_dict(value) if value else None
+        record = self._records.get(doc_id)  # a hit never waits on a writer's fsync
+        if record is None:
+            with self._journal.lock:
+                record = self._record(doc_id)
+        return record
+
+    def _record(self, doc_id: str) -> DocumentRecord | None:
+        """The live record, decoded into the map on a miss; the caller holds
+        the lock, so a record deleted meanwhile is never cached."""
+        record = self._records.get(doc_id)
+        if record is None:
+            value = self._journal.get(_DOC_PREFIX + doc_id)
+            if value is not None:
+                record = self._records[doc_id] = DocumentRecord.from_dict(value)
+        return record
 
     def name_taken(self, rendered: str) -> bool:
         """Whether a live record holds this rendered opaque name."""
@@ -160,15 +183,15 @@ class MetadataStore:
             keys = self._keys if owner is None else self._keys_by_owner.get(owner, [])
             start = 0
             if cursor:
-                value = self._journal.get(_DOC_PREFIX + cursor)
+                last = self._record(cursor)
                 # Missing, deleted and foreign cursors fail alike: no existence oracle.
-                if value is None or (owner is not None and value["owner"] != owner):
+                if last is None or (owner is not None and last.owner != owner):
                     raise InvalidCursor(cursor)
-                start = bisect_right(keys, (value["upload_timestamp"], cursor))
+                start = bisect_right(keys, (last.upload_timestamp, cursor))
             page = keys[start : start + page_size]
-            values = self._journal.get_many([_DOC_PREFIX + doc_id for _, doc_id in page])
+            rows = [self._record(doc_id) for _, doc_id in page]
             next_cursor = page[-1][1] if start + page_size < len(keys) else None
-        return [DocumentRecord.from_dict(v) for v in values], next_cursor
+        return rows, next_cursor
 
     def delete_record(self, doc_id: str) -> bool:
         with self._journal.lock:
@@ -176,6 +199,7 @@ class MetadataStore:
             if value is None:
                 return False
             self._journal.delete(_DOC_PREFIX + doc_id)
+            self._records.pop(doc_id, None)
             self._by_name.pop(value["opaque_name"], None)
             key = (value["upload_timestamp"], doc_id)
             owned = self._keys_by_owner[value["owner"]]

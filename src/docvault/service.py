@@ -13,10 +13,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import secrets
 import sys
 import threading
 import time
+import unicodedata
 import weakref
 from contextlib import suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -31,6 +33,7 @@ from .errors import (
     BlobMissing,
     DuplicateOpaqueName,
     InvalidCursor,
+    InvalidFilename,
     NotFound,
     RangeNotSatisfiable,
     StorageFailure,
@@ -53,6 +56,10 @@ def extension_for(filename: str) -> str:
     if ext and len(ext) <= 10 and ext.isalnum() and ext.isascii():
         return ext
     return _FALLBACK_EXTENSION
+
+
+# C0 and C1 controls, path separators, and lone surrogates (no UTF-8 name holds one)
+_FILENAME_FORBIDDEN = re.compile(r"[\x00-\x1f\x7f-\x9f/\\\ud800-\udfff]")
 
 
 class VaultCore:
@@ -98,16 +105,18 @@ class VaultCore:
         The blob lands under a temp name and is renamed into place only when
         fully written, so a failed upload leaves nothing addressable.  A
         same-user same-second name collision retries with the timestamp
-        bumped by one.
+        bumped by one.  The filename is stored NFC-normalized; one that is
+        empty, longer than 255 UTF-8 bytes, or holds a control, ``/`` or
+        ``\\`` is refused, never repaired.
         """
         if content_length > self.config.max_upload_bytes:
             raise TooLarge(
                 f"{content_length} bytes exceeds limit {self.config.max_upload_bytes}"
             )
-        if not original_filename:
-            raise ValueError("original_filename must be non-empty")
-
-        ext = extension_for(original_filename)
+        filename = unicodedata.normalize("NFC", original_filename)
+        if not filename or _FILENAME_FORBIDDEN.search(filename) or len(filename.encode()) > 255:
+            raise InvalidFilename()
+        ext = extension_for(filename)
         base_ts = int(time.time()) if now is None else now
 
         sha = hashlib.sha256()
@@ -132,7 +141,7 @@ class VaultCore:
                 tmp.flush()
                 os.fsync(tmp.fileno())
 
-            media_type = delivery.detect_media_type(original_filename, head)
+            media_type = delivery.detect_media_type(filename, head)
             record = None
             with self.records.lock:
                 slot_key = (principal.username, ext)
@@ -153,7 +162,7 @@ class VaultCore:
                     record = DocumentRecord(
                         doc_id=new_doc_id(),
                         owner=principal.username,
-                        original_filename=original_filename,
+                        original_filename=filename,
                         media_type=media_type,
                         size_bytes=content_length,
                         upload_timestamp=ts,
@@ -267,6 +276,7 @@ _ERRORS: dict[type, tuple[int, str, bool]] = {
     InvalidPath: (400, "invalid path", False),
     Unauthenticated: (401, "authentication required", False),
     FilenameRequired: (400, "filename parameter required", False),
+    InvalidFilename: (400, "invalid filename", False),
     InvalidCursor: (400, "invalid cursor", False),
     NotFound: (404, "not found", False),
     RangeNotSatisfiable: (416, "range not satisfiable", False),
@@ -327,8 +337,9 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
         if isinstance(reply, delivery.StreamResult):
             status, headers, chunks = reply.status, reply.headers, reply.chunks()
         else:
-            status, payload = reply
-            body = json.dumps(payload).encode("utf-8")
+            status, body = reply
+            if not isinstance(body, bytes):
+                body = json.dumps(body).encode("utf-8")
             headers = [
                 ("Server", self.version_string()),
                 ("Date", self.date_time_string()),
@@ -401,18 +412,21 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
                 raise FilenameRequired()
             if length is None:
                 raise LengthRequired()
-            return 201, core.upload(principal, filename, self.rfile, length).public_dict()
+            return 201, core.upload(principal, filename, self.rfile, length).public_row
         if self.command == "DELETE":
             core.delete_document(principal, doc_id)
             return 200, {"deleted": doc_id}
         if doc_id is not None:
             return core.download(principal, doc_id, self.headers.get("Range"))
         cursor = (parse_qs(url.query).get("cursor") or [None])[0]
-        records, next_cursor = core.list_documents(principal, cursor)
-        return 200, {
-            "documents": [r.public_dict() for r in records],
-            "next_cursor": next_cursor,
-        }
+        return 200, list_body(*core.list_documents(principal, cursor))
+
+
+def list_body(records: list[DocumentRecord], next_cursor: str | None) -> bytes:
+    """The JSON of one listing page, joined from the records' encoded public
+    rows: the bytes ``json.dumps`` gives for the same page."""
+    return (b'{"documents": [' + b", ".join(r.public_row for r in records)
+            + b'], "next_cursor": ' + json.dumps(next_cursor).encode("utf-8") + b"}")
 
 
 class VaultHTTPServer(ThreadingHTTPServer):

@@ -136,13 +136,28 @@ class TestIngestLsGetRm:
         capsys.readouterr()
         assert main(["get", doc_id, "-o", str(out_file)]) == 1
 
+    def test_ingest_refuses_a_name_with_a_separator(self, env, capsys, tmp_path):
+        main(["init"])
+        source = tmp_path / "src.txt"
+        source.write_bytes(b"stored text")
+        capsys.readouterr()
+        assert main(["ingest", str(source), "--owner", "alice",
+                     "--filename", "../escaped.txt"]) == 1
+        assert "error:" in capsys.readouterr().err
+        with JournalStore(env / "store.journal") as journal:
+            assert MetadataStore(journal).list_all()[0] == []
+
     def test_get_stays_in_working_directory(self, env, capsys, tmp_path, monkeypatch):
         main(["init"])
         capsys.readouterr()
         source = tmp_path / "src.txt"
         source.write_bytes(b"stored text")
-        main(["ingest", str(source), "--owner", "alice", "--filename", "../escaped.txt"])
+        main(["ingest", str(source), "--owner", "alice", "--filename", "escaped.txt"])
         doc_id = capsys.readouterr().out.split()[0]
+        # a store written before uploads refused separators may hold such a name
+        with JournalStore(env / "store.journal") as journal:
+            value = journal.get("doc:" + doc_id)
+            journal.put("doc:" + doc_id, {**value, "original_filename": "../escaped.txt"})
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)

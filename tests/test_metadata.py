@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import random
 import sys
@@ -22,6 +23,7 @@ from docvault.metadata import (
     new_doc_id,
 )
 from docvault.naming import OpaqueName
+from docvault.service import list_body
 
 
 def make_record(i: int = 0, owner: str = "alice", **kw) -> DocumentRecord:
@@ -362,6 +364,168 @@ class TestDelete:
         store.put_record(record)
         store.delete_record(record.doc_id)
         store.put_record(make_record(doc_id=new_doc_id(), opaque_name=record.opaque_name))
+
+
+class TestRecordMap:
+    def test_each_record_is_decoded_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.journal"
+        stored = [make_record(i) for i in range(5)]
+        with JournalStore(path) as journal:
+            for r in stored:
+                journal.put("doc:" + r.doc_id, r.to_dict())
+        decoded = []
+        from_dict = DocumentRecord.from_dict.__func__
+
+        def counting(cls, d):
+            decoded.append(d["doc_id"])
+            return from_dict(cls, d)
+
+        monkeypatch.setattr(DocumentRecord, "from_dict", classmethod(counting))
+        with JournalStore(path) as journal:
+            store = MetadataStore(journal)
+            assert decoded == []  # start-up decodes nothing
+            assert store.list_all(None, 3) == (stored[:3], stored[2].doc_id)
+            assert store.get_by_id(stored[0].doc_id) == stored[0]
+            assert store.list_all(stored[2].doc_id, 3) == (stored[3:], None)
+            assert store.list_by_owner("alice") == (stored, None)
+            put = make_record(9)
+            store.put_record(put)
+            assert store.get_by_id(put.doc_id) is put
+        assert sorted(decoded) == sorted(r.doc_id for r in stored)
+
+    def test_a_read_racing_a_delete_caches_nothing(self, tmp_path, monkeypatch):
+        """The delete starts while the read decodes the record it read from
+        the journal; the read may return it, but must not cache it."""
+        record = make_record()
+        journal = JournalStore(tmp_path / "store.journal")
+        journal.put("doc:" + record.doc_id, record.to_dict())
+        store = MetadataStore(journal)
+        deleter = threading.Thread(target=store.delete_record, args=(record.doc_id,))
+        from_dict = DocumentRecord.from_dict.__func__
+
+        def deleting(cls, d):
+            deleter.start()
+            deleter.join(timeout=0.2)  # it ends here unless the read holds the lock
+            return from_dict(cls, d)
+
+        monkeypatch.setattr(DocumentRecord, "from_dict", classmethod(deleting))
+        try:
+            assert store.get_by_id(record.doc_id) in (None, record)
+            deleter.join(timeout=5)
+            assert not deleter.is_alive()
+            assert store.get_by_id(record.doc_id) is None
+        finally:
+            journal.close()
+
+    def test_walks_and_reads_beside_puts_and_deletes(self, tmp_path, monkeypatch):
+        """Walks over a store whose records are still undecoded see complete
+        pages in key order beside a writer, and no deleted record is left
+        in the map."""
+        monkeypatch.setattr("os.fsync", lambda fd: None)  # churn, not durability
+        path = tmp_path / "store.journal"
+        cold = [make_record(i, owner=f"o{i % 2}") for i in range(0, 400, 2)]
+        with JournalStore(path) as journal:
+            for r in cold:
+                journal.put("doc:" + r.doc_id, r.to_dict())
+        journal = JournalStore(path)
+        store = MetadataStore(journal)  # every cold record is still undecoded
+        every = {r.doc_id: r for r in cold}
+        deleted, errors, done = set(), [], threading.Event()
+        target = [cold[0]]  # the cold record the writer deletes next
+
+        def write():
+            rng = random.Random(1)
+            try:
+                for n, r in enumerate(cold[::2]):
+                    fresh = make_record(1 + 2 * n, owner=f"o{n % 2}")
+                    every[fresh.doc_id] = fresh
+                    store.put_record(fresh)
+                    target[0] = r
+                    for gone in (r, fresh) if rng.random() < 0.5 else (r,):
+                        assert store.delete_record(gone.doc_id)
+                        deleted.add(gone.doc_id)
+            except Exception as e:  # reported by the main thread
+                errors.append(e)
+            finally:
+                done.set()
+
+        def read():
+            try:
+                while not done.is_set():
+                    r = target[0]
+                    assert store.get_by_id(r.doc_id) in (None, r)
+            except Exception as e:
+                errors.append(e)
+
+        def walk(list_page):
+            try:
+                while not done.is_set():
+                    keys, cursor = [], None
+                    try:
+                        while True:
+                            page, cursor = list_page(cursor, 5)
+                            assert cursor is None or len(page) == 5
+                            assert all(row == every[row.doc_id] for row in page)
+                            keys += [(row.upload_timestamp, row.doc_id) for row in page]
+                            if cursor is None:
+                                break
+                    except InvalidCursor:
+                        continue  # its cursor row was deleted: start over
+                    assert keys == sorted(set(keys))
+            except Exception as e:
+                errors.append(e)
+
+        threads = [threading.Thread(target=write), threading.Thread(target=read),
+                   threading.Thread(target=walk, args=(store.list_all,)),
+                   threading.Thread(target=walk, args=(lambda c, n: store.list_by_owner("o1", c, n),))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            journal.close()
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        live = sorted((r for r in every.values() if r.doc_id not in deleted),
+                      key=lambda r: (r.upload_timestamp, r.doc_id))
+        assert _walk(lambda c, n: store.list_all(c, n), 7) == live
+        for doc_id in deleted:
+            assert store.get_by_id(doc_id) is None
+
+    @settings(max_examples=30, deadline=None)
+    @given(names=st.lists(st.text(st.one_of(st.characters(blacklist_categories=("Cs",)),
+                                            st.sampled_from('"\\/\'')), max_size=12),
+                          min_size=1, max_size=7),
+           page_size=st.integers(1, 3))
+    def test_list_bodies_match_json_dumps(self, names, page_size):
+        """Bodies joined from the encoded rows are the bytes json.dumps gives
+        for the same page, from rows put and from rows decoded after a reopen."""
+        with tempfile.TemporaryDirectory() as tmp, mock.patch("os.fsync"):
+            path = Path(tmp) / "store.journal"
+            with JournalStore(path) as journal:
+                store = MetadataStore(journal)
+                for i, name in enumerate(names):
+                    store.put_record(make_record(i, owner=f"o{i % 2}", original_filename=name))
+                _check_bodies(store, page_size)
+            with JournalStore(path) as journal:
+                _check_bodies(MetadataStore(journal), page_size)
+
+
+def _check_bodies(store, page_size: int):
+    for list_page in (lambda c: store.list_all(c, page_size),
+                      lambda c: store.list_by_owner("o0", c, page_size)):
+        cursor = None
+        while True:
+            rows, next_cursor = list_page(cursor)
+            assert list_body(rows, next_cursor) == json.dumps(
+                {"documents": [r.public_dict() for r in rows], "next_cursor": next_cursor}
+            ).encode("utf-8")
+            if (cursor := next_cursor) is None:
+                break
 
 
 class TestConcurrentPuts:

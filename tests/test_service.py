@@ -7,11 +7,12 @@ import socket
 import struct
 import threading
 import time
+import unicodedata
 from urllib.parse import unquote
 
 import pytest
 import requests
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from docvault import service
@@ -19,6 +20,7 @@ from docvault.access import Principal, Role
 from docvault.delivery import sanitize_download_name
 from docvault.errors import StorageFailure
 from docvault.journal import JournalStore
+from docvault.naming import NameInputs, derive_opaque_name
 from docvault.service import VaultCore, VaultRequestHandler, extension_for
 
 
@@ -89,6 +91,21 @@ class TestUpload:
             f"{svc.base_url}/documents", data=b"x", headers=auth(user_token)
         )
         assert resp.status_code == 400
+
+    @pytest.mark.parametrize("name", [
+        "../x", "a%5Cb.pdf", "a%00b.pdf", "a%0D%0Ab.pdf", "a%C2%85b.pdf", "x" * 256,
+    ], ids=["dotdot", "backslash", "nul", "crlf", "c1", "256-bytes"])
+    def test_name_breaking_the_rule_is_refused(self, svc, user_token, name):
+        smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        headers = {"Authorization": f"Bearer {user_token}", "Content-Length": str(len(smuggled))}
+        raw = raw_exchange(svc, post_request(svc.address, headers, smuggled,
+                                             f"/documents?filename={name}"))
+        assert raw.count(b"HTTP/1.1 ") == 1, raw  # the unread body is never parsed
+        head, body = raw.split(b"\r\n\r\n", 1)
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert body == b'{"error": "invalid filename"}'
+        assert svc.core.records.list_all()[0] == []
+        assert sorted(p.name for p in svc.core.vault_dir.iterdir()) == [".htaccess", "index.html"]
 
     def test_zero_byte_upload(self, svc, user_token):
         resp = upload(svc, user_token, "empty.pdf", b"")
@@ -268,6 +285,24 @@ class TestListDelete:
         assert not blob.exists()
 
 
+class TestRecordMap:
+    def test_deleted_record_is_gone_everywhere(self, svc, user_token, admin_token):
+        """A record read into the map, by a listing and a download, leaves it
+        when the delete returns."""
+        docs = [upload(svc, user_token, f"{i}.pdf", b"data").json() for i in range(3)]
+        gone = docs[1]["doc_id"]
+        url = f"{svc.base_url}/documents/{gone}"
+        assert requests.get(url, headers=auth(user_token)).status_code == 200
+        assert walk_listing(svc, admin_token) == docs
+        assert requests.delete(url, headers=auth(user_token)).status_code == 200
+        assert svc.core.records.get_by_id(gone) is None
+        for token in (user_token, admin_token):
+            assert walk_listing(svc, token) == [docs[0], docs[2]]
+        got = requests.get(url, headers=auth(user_token))
+        assert got.status_code == 404
+        assert got.json() == {"error": "not found"}
+
+
 class TestListCursor:
     def test_stale_and_foreign_cursors_get_one_identical_reply(self, svc, user_token,
                                                                admin_token):
@@ -378,15 +413,22 @@ class TestExtensionMapping:
 
 
 class TestOpaqueNameScrubbing:
-    def test_no_endpoint_leaks_storage_names(self, svc, user_token):
-        upload(svc, user_token, "a.pdf", b"%PDF-1.4 one")
+    def test_no_endpoint_leaks_storage_names(self, svc, user_token, admin_token):
+        created = upload(svc, user_token, "a.pdf", b"%PDF-1.4 one")
         upload(svc, user_token, "b.txt", b"two")
-        names = [r.opaque_name.render() for r, in
-                 [(r,) for r in svc.core.records.list_all()[0]]]
+        records = svc.core.records.list_all()[0]
+        names = [r.opaque_name.render() for r in records] + [r.checksum for r in records]
         vault_path = str(svc.core.vault_dir)
+        for r in records:
+            for secret in (b"opaque_name", b"checksum", vault_path.encode()):
+                assert secret not in r.public_row
 
         responses = [
+            created,
             requests.get(f"{svc.base_url}/documents", headers=auth(user_token)),
+            requests.get(f"{svc.base_url}/documents", headers=auth(admin_token)),
+            requests.get(f"{svc.base_url}/documents", params={"cursor": records[0].doc_id},
+                         headers=auth(user_token)),
             requests.get(f"{svc.base_url}/documents/missing", headers=auth(user_token)),
             requests.get(f"{svc.base_url}/healthz"),
             requests.get(f"{svc.base_url}/nope", headers=auth(user_token)),
@@ -641,6 +683,34 @@ class TestNameAllocation:
         assert other_ext.upload_timestamp == 1000  # the .pdf records do not hold .txt slots
         assert derived == [1040, 1000]
 
+    def test_cross_user_clash_retries_and_keeps_the_first(self, core):
+        """The derivation input has no separator, so ("alice1", 23) and
+        ("alice", 123) name the same blob; the second upload retries."""
+        first = core.upload(Principal("alice1", Role.USER), "a.pdf", io.BytesIO(b"first"), 5,
+                            now=23)
+        assert derive_opaque_name(NameInputs("alice", 123, "pdf"), core.key) == first.opaque_name
+        blob = core.vault_dir / first.opaque_name.render()
+        inode, stored = blob.stat().st_ino, json.dumps(core.journal.get("doc:" + first.doc_id))
+
+        second = core.upload(Principal("alice", Role.USER), "b.pdf", io.BytesIO(b"second"), 6,
+                             now=123)
+        assert second.opaque_name != first.opaque_name
+        assert second.upload_timestamp == 124
+        assert blob.read_bytes() == b"first"
+        assert blob.stat().st_ino == inode
+        assert json.dumps(core.journal.get("doc:" + first.doc_id)) == stored
+        assert core.records.get_by_id(first.doc_id) == first
+
+
+def walk_listing(svc, token) -> list[dict]:
+    docs, cursor = [], None
+    while True:
+        page = requests.get(f"{svc.base_url}/documents", params={"cursor": cursor},
+                            headers=auth(token)).json()
+        docs += page["documents"]
+        if (cursor := page["next_cursor"]) is None:
+            return docs
+
 
 def disposition_name(value: str) -> str:
     """The file name a Content-Disposition value carries (RFC 6266)."""
@@ -658,23 +728,33 @@ class TestUnicodeNames:
         assert got.content == b"%PDF-1.4 body"
         assert disposition_name(got.headers["Content-Disposition"]) == "报告€.pdf"
 
-    @given(name=st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=24))
+    @given(name=st.text(st.one_of(st.characters(blacklist_categories=("Cs",)),
+                                  st.sampled_from('/\\"\x00\x85\u0301e')),
+                        min_size=1, max_size=24))
+    @example(name="e\u0301.pdf")  # stored as its NFC form
+    @example(name="x" * 255)
+    @example(name="é" * 128)  # 256 UTF-8 bytes
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_every_name_round_trips(self, svc, user_token, name):
+        """Every upload gets 201 or 400; a stored name comes back, as its NFC
+        form, in the upload reply, the listing and the download.  The one
+        character a Content-Disposition drops is the double quote."""
         body = name.encode("utf-8") + b"|body"
         resp = upload(svc, user_token, name, body)
         assert resp.status_code in (400, 201)
         if resp.status_code == 400:
+            assert resp.json() == {"error": "invalid filename"}
             return
-        assert resp.json()["original_filename"] == name
-        got = requests.get(
-            f"{svc.base_url}/documents/{resp.json()['doc_id']}", headers=auth(user_token)
-        )
+        stored = unicodedata.normalize("NFC", name)
+        doc = resp.json()
+        assert doc["original_filename"] == stored
+        assert doc in walk_listing(svc, user_token)
+        got = requests.get(f"{svc.base_url}/documents/{doc['doc_id']}", headers=auth(user_token))
         assert got.status_code == 200
         assert got.content == body
         assert disposition_name(got.headers["Content-Disposition"]) == (
-            sanitize_download_name(name)
+            sanitize_download_name(stored)
         )
 
 
