@@ -10,8 +10,9 @@ Checks, from the outside and with GET/HEAD only:
                       a mediating application
 
 The auditor is polite (configurable delay, bounded probe count, early stop)
-and read-only; it never downloads more than it needs to classify a
-response and never attempts to brute-force opaque 32-hex names.
+and read-only. A file probe decides from the status line and headers and
+reads no body; the listing probe reads at most the first MiB of the page.
+It never attempts to brute-force opaque 32-hex names.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import requests
 DEFAULT_MAX_SEQUENTIAL = 100
 DEFAULT_MISS_RUN = 20
 DEFAULT_TIMEOUT = 10.0
+_LISTING_CAP = 1 << 20
 
 _INDEX_TITLE_RE = re.compile(
     r"(index of|directory listing for|to parent directory)", re.IGNORECASE
@@ -164,10 +166,19 @@ class Auditor:
         self.probes_sent = 0
 
     def _get(self, url: str) -> requests.Response:
+        """GET ``url`` up to its headers; the caller reads what it needs and closes."""
         if self.probes_sent and self.target.request_delay_ms:
             time.sleep(self.target.request_delay_ms / 1000.0)
         self.probes_sent += 1
-        return self.session.get(url, timeout=self.target.timeout)
+        return self.session.get(url, timeout=self.target.timeout, stream=True)
+
+    def _served_size(self, url: str) -> str | None:
+        """The stated size of a file served at ``url``, else None; reads no body."""
+        with self._get(url) as resp:
+            if resp.status_code == 200 and not _is_html(resp):
+                length = resp.headers.get("Content-Length", "")
+                return f"{length} bytes" if length.isdecimal() else "size not stated"
+        return None
 
     # -- individual probes -------------------------------------------------
 
@@ -175,20 +186,19 @@ class Auditor:
         """Look for an auto-index page at the directory URL; also its children."""
         url = self.target.base_url
         try:
-            resp = self._get(url)
+            with self._get(url) as resp:
+                body = next(resp.iter_content(_LISTING_CAP), b"") if resp.ok else b""
         except requests.RequestException:
             return Verdict.INDETERMINATE, [], []
-        if resp.ok and looks_like_listing(url, resp.text):
-            listed = sorted(_directory_children(url, resp.text))
-            return Verdict.FAIL, [
-                Finding(
-                    Rule.R2_LISTING_OR_INDEX,
-                    Severity.CRITICAL,
-                    url,
-                    resp.status_code,
-                    f"directory listing exposed ({len(listed)} entries visible)",
-                )
-            ], listed
+        try:
+            text = body.decode(resp.encoding or "utf-8", errors="replace")
+        except LookupError:  # a charset this Python does not know
+            text = body.decode("utf-8", errors="replace")
+        if looks_like_listing(url, text):
+            listed = sorted(_directory_children(url, text))
+            detail = f"directory listing exposed ({len(listed)} entries visible)"
+            return Verdict.FAIL, [Finding(Rule.R2_LISTING_OR_INDEX, Severity.CRITICAL, url,
+                                          resp.status_code, detail)], listed
         return Verdict.PASS, [], []
 
     def probe_sequential_names(self) -> tuple[Verdict, list[Finding]]:
@@ -202,21 +212,14 @@ class Auditor:
                     break
                 url = f"{self.target.base_url}{i}.{ext}"
                 try:
-                    resp = self._get(url)
+                    size = self._served_size(url)
                 except requests.RequestException:
                     saw_network_error = True
                     break
-                if resp.status_code == 200 and not _is_html(resp):
+                if size:
                     last_hit = i
-                    findings.append(
-                        Finding(
-                            Rule.R3_GUESSABLE_NAMES,
-                            Severity.CRITICAL,
-                            url,
-                            200,
-                            f"sequential name retrievable ({len(resp.content)} bytes)",
-                        )
-                    )
+                    findings.append(Finding(Rule.R3_GUESSABLE_NAMES, Severity.CRITICAL, url,
+                                            200, f"sequential name retrievable ({size})"))
         if saw_network_error and not findings:
             return Verdict.INDETERMINATE, findings
         return (Verdict.FAIL if findings else Verdict.PASS), findings
@@ -228,18 +231,14 @@ class Auditor:
         for name in names:
             url = urljoin(self.target.base_url, name)
             try:
-                resp = self._get(url)
+                size = self._served_size(url)
             except requests.RequestException:
                 saw_network_error = True
                 continue
-            if resp.status_code == 200 and not _is_html(resp):
-                detail = f"known filename served statically ({len(resp.content)} bytes)"
-                findings.append(
-                    Finding(Rule.R1_DIRECT_ACCESS, Severity.CRITICAL, url, 200, detail)
-                )
-                findings.append(
-                    Finding(Rule.R4_STATIC_SERVING, Severity.CRITICAL, url, 200, detail)
-                )
+            if size:
+                detail = f"known filename served statically ({size})"
+                findings += [Finding(rule, Severity.CRITICAL, url, 200, detail)
+                             for rule in (Rule.R1_DIRECT_ACCESS, Rule.R4_STATIC_SERVING)]
         if saw_network_error and not findings:
             return Verdict.INDETERMINATE, findings
         return (Verdict.FAIL if findings else Verdict.PASS), findings

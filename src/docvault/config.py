@@ -40,6 +40,8 @@ class ServiceConfig:
     key_env: str | None = field(repr=False)  # VAULT_KEY's value, from any source
     store_path: str
     max_upload_bytes: int
+    # The plan made once at construction, so a start resolves its paths once.
+    _layout: VaultLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.max_upload_bytes <= 0:
@@ -49,10 +51,10 @@ class ServiceConfig:
             if not Path(p).is_absolute():
                 raise ConfigError(f"{name} must be an absolute path: {p!r}")
         # Raises PolicyPathMismatch when the policy/path pair is contradictory.
-        self.layout()
+        object.__setattr__(self, "_layout", plan_layout(self.policy, self.webroot, self.vault_dir))
 
     def layout(self) -> VaultLayout:
-        return plan_layout(self.policy, self.webroot, self.vault_dir)
+        return self._layout
 
     def load_key(self) -> SecretKey:
         """VAULT_KEY_FILE takes precedence over VAULT_KEY; refuse to run keyless."""

@@ -44,11 +44,12 @@ _MAGIC_TYPES = [
     (b"PK\x03\x04", "application/zip"),
 ]
 
-_DISPOSITION_FORBIDDEN = set('"\r\n/\\')
+_UNQUOTABLE = frozenset('"/\\')
 
 
-def sanitize_download_name(name: str) -> str:
-    return "".join(c for c in name if c not in _DISPOSITION_FORBIDDEN)
+def _quotable(text: str) -> bool:
+    """Whether ``text`` may stand as itself in a quoted download name."""
+    return text.isascii() and text.isprintable() and _UNQUOTABLE.isdisjoint(text)
 
 
 def build_headers(
@@ -57,12 +58,13 @@ def build_headers(
     """The one delivery header set, in the order it is sent: ``length``
     octets of this record, which are a part of it exactly when
     ``content_range`` is given."""
-    name = sanitize_download_name(record.original_filename)
+    name = record.original_filename
     disposition = f'attachment; filename="{name}"'
-    if not (name.isascii() and name.isprintable()):
-        # A header carries only ASCII: an ASCII fallback for old clients,
-        # then the exact name in RFC 8187 form (RFC 6266 section 4.3).
-        fallback = "".join(c if c.isascii() and c.isprintable() else "_" for c in name)
+    if not _quotable(name):
+        # A quoted name carries only printable ASCII, and no quote, slash or
+        # backslash: a fallback with "_" for each other character for old
+        # clients, then the exact name in RFC 8187 form (RFC 6266 section 4.3).
+        fallback = "".join(c if _quotable(c) else "_" for c in name)
         encoded = quote(name, safe="", errors="replace")
         disposition = f"attachment; filename=\"{fallback}\"; filename*=UTF-8''{encoded}"
     headers = [

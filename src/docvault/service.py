@@ -407,7 +407,12 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
             raise Unauthenticated()
         if self.command == "POST":
             query = parse_qs(url.query)
-            filename = (query.get("filename") or [""])[0] or self.headers.get("X-Filename", "")
+            filename = (query.get("filename") or [""])[0]
+            if not filename:
+                try:  # http.server decodes header bytes as Latin-1; a name is UTF-8
+                    filename = self.headers.get("X-Filename", "").encode("latin-1").decode()
+                except UnicodeError:
+                    raise InvalidFilename() from None
             if not filename:
                 raise FilenameRequired()
             if length is None:

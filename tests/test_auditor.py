@@ -1,8 +1,11 @@
+import socket
+import threading
 import time
 
 import pytest
 
 from docvault.auditor import (
+    _LISTING_CAP,
     Finding,
     ProbeTarget,
     Rule,
@@ -16,6 +19,52 @@ from docvault.auditor import (
 from docvault.placement import emit_deny_config, emit_index_placeholder
 
 from conftest import StaticFixtureServer
+
+
+class _HeldReplyServer:
+    """Answers each connection with fixed bytes, then holds it open unread.
+
+    Stands for a server whose body is huge or stalled: a probe that waits
+    for the rest of the body waits out its timeout.
+    """
+
+    def __init__(self, reply: bytes):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.02)
+        self.reply = reply
+        self.connections: list[socket.socket] = []
+        self.done = threading.Event()
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+
+    @property
+    def base_url(self) -> str:
+        return f"http://127.0.0.1:{self.listener.getsockname()[1]}/"
+
+    def _serve(self):
+        while not self.done.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                continue
+            self.connections.append(conn)
+            conn.settimeout(5)
+            try:
+                conn.recv(65536)
+                conn.sendall(self.reply)
+            except OSError:
+                pass  # the probe closed early, as it may
+
+    def __enter__(self):
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.done.set()
+        self.thread.join(timeout=10)
+        assert not self.thread.is_alive()
+        for conn in self.connections:
+            conn.close()
+        self.listener.close()
 
 
 @pytest.fixture
@@ -79,6 +128,31 @@ class TestListingProbe:
         verdict, findings, _ = Auditor(target).probe_listing()
         assert verdict is Verdict.INDETERMINATE
 
+    def test_listing_read_stops_at_cap(self):
+        # The page claims 1 GiB and stalls after its first MiB and a bit:
+        # the children in that MiB are listed, later ones are never read.
+        head = b'<html><body><a href="a.pdf">a</a> <a href="b.pdf">b</a>'
+        page = head + b" " * (_LISTING_CAP - len(head)) + b'<a href="c.pdf">c</a>'
+        reply = (b"HTTP/1.1 200 OK\r\nContent-Type: text/html; charset=utf-8\r\n"
+                 b"Content-Length: 1073741824\r\n\r\n" + page)
+        with _HeldReplyServer(reply) as server:
+            target = ProbeTarget(server.base_url, timeout=0.5)
+            start = time.monotonic()
+            verdict, findings, listed = Auditor(target).probe_listing()
+            elapsed = time.monotonic() - start
+        assert verdict is Verdict.FAIL
+        assert listed == ["a.pdf", "b.pdf"]
+        assert elapsed < 0.25
+
+    def test_unknown_charset_read_as_utf8(self):
+        page = b'<a href="a.pdf">a</a> <a href="b.pdf">b</a>'
+        reply = (b"HTTP/1.1 200 OK\r\nContent-Type: text/html; charset=no-such-charset\r\n"
+                 b"Content-Length: %d\r\n\r\n" % len(page) + page)
+        with _HeldReplyServer(reply) as server:
+            verdict, _, listed = Auditor(ProbeTarget(server.base_url, timeout=0.5)).probe_listing()
+        assert verdict is Verdict.FAIL
+        assert listed == ["a.pdf", "b.pdf"]
+
 
 class TestListingHeuristic:
     def test_index_of_title(self):
@@ -131,6 +205,27 @@ class TestSequentialProbe:
         assert [f.url.rsplit("/", 1)[-1] for f in findings] == ["5.pdf"]
         # early stop kicks in only after 10 consecutive misses past the hit
         assert auditor.probes_sent == 15
+
+    def test_hit_never_waits_for_its_body(self):
+        reply = (b"HTTP/1.1 200 OK\r\nContent-Type: application/pdf\r\n"
+                 b"Content-Length: 1073741824\r\n\r\n")
+        with _HeldReplyServer(reply) as server:
+            target = ProbeTarget(server.base_url, timeout=0.5, max_sequential=1)
+            start = time.monotonic()
+            verdict, findings = Auditor(target).probe_sequential_names()
+            elapsed = time.monotonic() - start
+            assert len(server.connections) == 1
+        assert verdict is Verdict.FAIL
+        assert [f.detail for f in findings] == ["sequential name retrievable (1073741824 bytes)"]
+        assert elapsed < 0.25
+
+    def test_hit_without_length_says_so(self):
+        reply = b"HTTP/1.0 200 OK\r\nContent-Type: application/pdf\r\n\r\n%PDF-1.4"
+        with _HeldReplyServer(reply) as server:
+            target = ProbeTarget(server.base_url, timeout=0.5, max_sequential=1)
+            verdict, findings = Auditor(target).probe_sequential_names()
+        assert verdict is Verdict.FAIL
+        assert [f.detail for f in findings] == ["sequential name retrievable (size not stated)"]
 
     def test_probe_budget(self, tmp_path):
         root = tmp_path / "empty"

@@ -350,6 +350,21 @@ class TestServe:
             proc.wait(timeout=5)
 
 
+class TestLayoutPlan:
+    def test_one_plan_per_start(self, env, monkeypatch):
+        import docvault.config
+        from docvault.service import VaultService
+
+        plan, calls = docvault.config.plan_layout, []
+        monkeypatch.setattr(docvault.config, "plan_layout",
+                            lambda *args: calls.append(args) or plan(*args))
+        monkeypatch.setenv("VAULT_BIND", "127.0.0.1:0")
+        service = VaultService(load_config())
+        service.start()
+        service.stop()
+        assert len(calls) == 1
+
+
 class TestConfigFile:
     def test_config_file_used(self, tmp_path, monkeypatch, capsys):
         for var in ("VAULT_WEBROOT", "VAULT_DIR", "VAULT_POLICY", "VAULT_KEY_FILE",

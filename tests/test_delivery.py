@@ -12,7 +12,6 @@ from docvault.delivery import (
     build_headers,
     detect_media_type,
     parse_range_header,
-    sanitize_download_name,
     stream_document,
 )
 from docvault.errors import BlobMissing, RangeNotSatisfiable
@@ -73,21 +72,31 @@ class TestHeaders:
         )
 
     def test_sanitized_download_name(self):
-        record = make_record(original_filename='a"b\r\n.pdf')
+        # A quote reaches the client: "_" in the fallback, exact in filename*.
+        record = make_record(original_filename='a"b.pdf')
         headers = dict(build_headers(record, 10, None))
-        assert headers["Content-Disposition"] == 'attachment; filename="ab.pdf"'
+        assert headers["Content-Disposition"] == (
+            "attachment; filename=\"a_b.pdf\"; filename*=UTF-8''a%22b.pdf"
+        )
 
     @pytest.mark.parametrize(
-        "raw,clean",
+        "raw,fallback,encoded",
         [
-            ('a"b\r\n.pdf', "ab.pdf"),
-            ("../../etc/passwd", "....etcpasswd"),
-            ("plain.pdf", "plain.pdf"),
-            ("dir\\name.pdf", "dirname.pdf"),
+            ('a"b\r\n.pdf', "a_b__.pdf", "a%22b%0D%0A.pdf"),
+            ("../../etc/passwd", ".._.._etc_passwd", "..%2F..%2Fetc%2Fpasswd"),
+            ("dir\\name.pdf", "dir_name.pdf", "dir%5Cname.pdf"),
         ],
     )
-    def test_sanitize(self, raw, clean):
-        assert sanitize_download_name(raw) == clean
+    def test_sanitize(self, raw, fallback, encoded):
+        disposition = dict(build_headers(make_record(original_filename=raw), 10, None))[
+            "Content-Disposition"]
+        assert disposition == f"attachment; filename=\"{fallback}\"; filename*=UTF-8''{encoded}"
+
+    def test_plain_name_sent_as_is(self):
+        record = make_record(original_filename="plain.pdf")
+        assert dict(build_headers(record, 10, None))["Content-Disposition"] == (
+            'attachment; filename="plain.pdf"'
+        )
 
 
 class TestMediaType:

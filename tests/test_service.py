@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from docvault import service
 from docvault.access import Principal, Role
-from docvault.delivery import sanitize_download_name
 from docvault.errors import StorageFailure
 from docvault.journal import JournalStore
 from docvault.naming import NameInputs, derive_opaque_name
@@ -459,6 +458,7 @@ def raw_exchange(svc, request: bytes, timeout: float = 2.0, half_close=False) ->
 
 def post_request(host_port, headers: dict, body: bytes = b"",
                  target="/documents?filename=a.txt") -> bytes:
+    """A raw upload request; its head is encoded as UTF-8."""
     lines = [f"POST {target} HTTP/1.1", "Host: %s:%d" % host_port]
     lines += [f"{k}: {v}" for k, v in headers.items()]
     return ("\r\n".join(lines) + "\r\n\r\n").encode() + body
@@ -721,6 +721,25 @@ def disposition_name(value: str) -> str:
 
 
 class TestUnicodeNames:
+    def test_x_filename_carries_utf8(self, svc, user_token):
+        body = b"%PDF-1.4 body"
+        headers = {**auth(user_token), "X-Filename": "é.pdf", "Content-Length": len(body),
+                   "Connection": "close"}
+        reply = raw_exchange(svc, post_request(svc.address, headers, body, "/documents"))
+        assert reply.startswith(b"HTTP/1.1 201 ")
+        doc = json.loads(reply.split(b"\r\n\r\n", 1)[1])
+        assert doc["original_filename"] == "é.pdf"
+        assert [d["original_filename"] for d in walk_listing(svc, user_token)] == ["é.pdf"]
+
+    def test_x_filename_not_utf8_is_refused(self, svc, user_token):
+        request = post_request(svc.address, {**auth(user_token), "Content-Length": 1},
+                               b"x", "/documents")
+        request = request.replace(b"\r\n\r\n", b"\r\nX-Filename: \xe9.pdf\r\n\r\n", 1)
+        reply = raw_exchange(svc, request)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert reply.endswith(b'{"error": "invalid filename"}')
+        assert walk_listing(svc, user_token) == []
+
     def test_non_latin1_name_downloads_whole(self, svc, user_token):
         doc = upload(svc, user_token, "报告€.pdf", b"%PDF-1.4 body").json()
         got = requests.get(f"{svc.base_url}/documents/{doc['doc_id']}", headers=auth(user_token))
@@ -738,8 +757,7 @@ class TestUnicodeNames:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_every_name_round_trips(self, svc, user_token, name):
         """Every upload gets 201 or 400; a stored name comes back, as its NFC
-        form, in the upload reply, the listing and the download.  The one
-        character a Content-Disposition drops is the double quote."""
+        form, in the upload reply, the listing and the download."""
         body = name.encode("utf-8") + b"|body"
         resp = upload(svc, user_token, name, body)
         assert resp.status_code in (400, 201)
@@ -753,9 +771,7 @@ class TestUnicodeNames:
         got = requests.get(f"{svc.base_url}/documents/{doc['doc_id']}", headers=auth(user_token))
         assert got.status_code == 200
         assert got.content == body
-        assert disposition_name(got.headers["Content-Disposition"]) == (
-            sanitize_download_name(stored)
-        )
+        assert disposition_name(got.headers["Content-Disposition"]) == stored
 
 
 def open_blob_fds(vault_dir, timeout: float = 3.0) -> int:
