@@ -88,14 +88,9 @@ class TestHeaders:
         ],
     )
     def test_sanitize(self, raw, fallback, encoded):
-        disposition = dict(build_headers(make_record(original_filename=raw), 10, None))[
-            "Content-Disposition"]
-        assert disposition == f"attachment; filename=\"{fallback}\"; filename*=UTF-8''{encoded}"
-
-    def test_plain_name_sent_as_is(self):
-        record = make_record(original_filename="plain.pdf")
+        record = make_record(original_filename=raw)
         assert dict(build_headers(record, 10, None))["Content-Disposition"] == (
-            'attachment; filename="plain.pdf"'
+            f"attachment; filename=\"{fallback}\"; filename*=UTF-8''{encoded}"
         )
 
 
