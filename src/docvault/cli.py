@@ -18,23 +18,23 @@ from .access import Principal, Role
 from .auditor import ProbeTarget, render_text_report, run_audit
 from .config import load_config
 from .errors import (
-    ArtifactConflict,
     ConfigError,
     IoFailure,
-    NotFound,
     PolicyPathMismatch,
     StorageFailure,
-    TooLarge,
     VaultError,
     WeakKey,
 )
 from .journal import JournalStore
-from .metadata import check_consistency
+from .metadata import MetadataStore, check_consistency
 from .placement import materialize_layout, verify_layout
 from .service import VaultCore, VaultService
 
 
 LS_PAGE_SIZE = 1000
+# Local CLI verbs run with operator (admin) rights; they act on the
+# store directly, not through the HTTP surface.
+OPERATOR = Principal(username="operator", role=Role.ADMIN)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,6 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 @contextmanager
 def _open_core(args):
     config = load_config(config_file=args.config)
+    config.layout()  # refuse a placement that no longer fits the paths
     key = config.load_key()
     with JournalStore(config.store_path) as journal:
         core = VaultCore(config, key, journal)
@@ -99,12 +100,6 @@ def _open_core(args):
             yield core
         finally:
             core.close()
-
-
-def _operator() -> Principal:
-    # Local CLI verbs run with operator (admin) rights; they act on the
-    # store directly, not through the HTTP surface.
-    return Principal(username="operator", role=Role.ADMIN)
 
 
 def cmd_init(args) -> int:
@@ -160,7 +155,7 @@ def cmd_ls(args) -> int:
 
 def cmd_get(args) -> int:
     with _open_core(args) as core:
-        result = core.download(_operator(), args.doc_id)
+        result = core.download(OPERATOR, args.doc_id)
         try:
             if args.output:
                 out, mode = Path(args.output), "wb"
@@ -185,7 +180,7 @@ def cmd_get(args) -> int:
 
 def cmd_rm(args) -> int:
     with _open_core(args) as core:
-        core.delete_document(_operator(), args.doc_id)
+        core.delete_document(OPERATOR, args.doc_id)
     print(f"deleted {args.doc_id}")
     return 0
 
@@ -227,15 +222,13 @@ def cmd_audit(args) -> int:
 
 
 def cmd_fsck(args) -> int:
-    try:
-        with _open_core(args) as core:
-            violations = verify_layout(core.config.layout())
-            issues = check_consistency(core.records, core.vault_dir)
-    except (ConfigError, StorageFailure) as e:
-        print(f"cannot open vault: {e}", file=sys.stderr)
-        return 2
+    # No key and no core: the config, the journal and the vault directory.
+    config = load_config(config_file=args.config)
+    violations = verify_layout(config.policy, config.webroot, config.vault_dir)
     for v in violations:
-        print(f"layout {v.rule}: {v.path} ({v.detail})")
+        print(f"layout {v.rule}: {v.path} ({v.detail})", flush=True)
+    with JournalStore(config.store_path) as journal:
+        issues = check_consistency(MetadataStore(journal), config.vault_dir)
     for issue in issues:
         who = issue.doc_id or "-"
         print(f"{issue.kind}: {who} {issue.path} ({issue.detail})")
@@ -263,9 +256,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.verb](args)
-    except (ArtifactConflict, NotFound, TooLarge) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except (ConfigError, WeakKey, PolicyPathMismatch, IoFailure, StorageFailure) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

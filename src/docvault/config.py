@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import ConfigError
@@ -40,8 +41,6 @@ class ServiceConfig:
     key_env: str | None = field(repr=False)  # VAULT_KEY's value, from any source
     store_path: str
     max_upload_bytes: int
-    # The plan made once at construction, so a start resolves its paths once.
-    _layout: VaultLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.max_upload_bytes <= 0:
@@ -50,11 +49,14 @@ class ServiceConfig:
                         ("store_path", self.store_path)):
             if not Path(p).is_absolute():
                 raise ConfigError(f"{name} must be an absolute path: {p!r}")
-        # Raises PolicyPathMismatch when the policy/path pair is contradictory.
-        object.__setattr__(self, "_layout", plan_layout(self.policy, self.webroot, self.vault_dir))
 
     def layout(self) -> VaultLayout:
-        return self._layout
+        """The placement plan, made on first use and kept: raises PolicyPathMismatch."""
+        return self._plan
+
+    @cached_property
+    def _plan(self) -> VaultLayout:
+        return plan_layout(self.policy, self.webroot, self.vault_dir)
 
     def load_key(self) -> SecretKey:
         """VAULT_KEY_FILE takes precedence over VAULT_KEY; refuse to run keyless."""

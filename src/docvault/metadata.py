@@ -22,7 +22,7 @@ from pathlib import Path
 from .errors import BlobMissing, DuplicateOpaqueName, InvalidCursor, StorageFailure
 from .journal import JournalStore
 from .naming import OpaqueName
-from .placement import DENY_CONFIG_NAME, INDEX_PLACEHOLDER_NAME, open_blob
+from .placement import DENY_CONFIG_NAME, INDEX_PLACEHOLDER_NAME, open_blob, open_vault_dir
 
 _DOC_PREFIX = "doc:"
 
@@ -212,13 +212,14 @@ class MetadataStore:
 
 @dataclass(frozen=True)
 class ConsistencyIssue:
-    kind: str  # "dangling-record", "orphan-blob", "size-mismatch", "checksum-mismatch"
+    kind: str  # dangling-record, orphan-blob, upload-temp, size-mismatch, checksum-mismatch
     doc_id: str | None
     path: str
     detail: str
 
 
 _PROTECTION_FILES = {DENY_CONFIG_NAME, INDEX_PLACEHOLDER_NAME}
+UPLOAD_TEMP_PREFIX = ".upload-"  # an upload's name in the vault until its rename
 
 
 def check_consistency(store: MetadataStore, vault_dir: str | Path) -> list[ConsistencyIssue]:
@@ -228,12 +229,13 @@ def check_consistency(store: MetadataStore, vault_dir: str | Path) -> list[Consi
     reached as a download reaches it: by ``open_blob`` under one fd of the
     vault directory, so a symlink under a record's name is a dangling
     record.  Every other entry that is not a directory or a protection
-    file, symlinks included, is an orphan blob.
+    file, symlinks included, is an orphan blob, or a leftover upload temp
+    when it carries the temp prefix.
     """
     vault = Path(vault_dir)
     issues: list[ConsistencyIssue] = []
     records = {r.opaque_name.render(): r for r in store.list_all(page_size=sys.maxsize)[0]}
-    vault_fd = os.open(vault, os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC)
+    vault_fd = open_vault_dir(vault)
     try:
         for rendered, record in records.items():
             blob = str(vault / rendered)
@@ -272,7 +274,9 @@ def check_consistency(store: MetadataStore, vault_dir: str | Path) -> list[Consi
     finally:
         os.close(vault_fd)
     issues.extend(
-        ConsistencyIssue("orphan-blob", None, str(vault / name), "no record for blob")
+        ConsistencyIssue("upload-temp", None, str(vault / name), "upload never finished")
+        if name.startswith(UPLOAD_TEMP_PREFIX)
+        else ConsistencyIssue("orphan-blob", None, str(vault / name), "no record for blob")
         for name in strays
     )
     return issues

@@ -11,10 +11,10 @@ Three placement policies, strongest first:
 
 Planning reads the disk only to resolve symlinks: containment is decided on
 the paths both as named and as the kernel resolves them.  Materialization
-writes the directory and artifacts and is idempotent.  Verification
-re-checks everything on disk and reports which protection each violation
-breaches.  A blob is reached one way only, by ``open_blob`` under the held
-vault directory.
+writes the directory and artifacts and is idempotent.  Verification plans
+again and re-checks everything on disk, reporting which protection each
+violation breaches.  A blob is reached one way only, by ``open_blob`` under
+the vault directory that ``open_vault_dir`` holds open.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import stat
 from dataclasses import dataclass, field
 from pathlib import PurePosixPath, Path
 
-from .errors import ArtifactConflict, BlobMissing, IoFailure, PolicyPathMismatch
+from .errors import ArtifactConflict, BlobMissing, IoFailure, PolicyPathMismatch, StorageFailure
 
 DENY_CONFIG_NAME = ".htaccess"
 INDEX_PLACEHOLDER_NAME = "index.html"
@@ -48,7 +48,6 @@ class PlacementPolicy(enum.Enum):
 
 @dataclass(frozen=True)
 class VaultLayout:
-    policy: PlacementPolicy
     webroot: str
     vault_dir: str
     # (path relative to webroot, exact bytes to write)
@@ -71,11 +70,6 @@ class MaterializeResult:
 def _below(path: str, root: str) -> bool:
     # Component-wise, so /a/b-evil is not below /a/b.
     return path != root and os.path.commonpath((path, root)) == root
-
-
-def is_inside(candidate: str, ancestor: str) -> bool:
-    """Strictly below, once the kernel has resolved both paths' symlinks."""
-    return _below(os.path.realpath(candidate), os.path.realpath(ancestor))
 
 
 def _vault_rel(policy: PlacementPolicy, webroot: str, vault_dir: str) -> str:
@@ -141,20 +135,23 @@ def emit_index_placeholder(message: str | None = None) -> bytes:
     return doc.encode("utf-8")
 
 
+def _protection_files(policy: PlacementPolicy) -> tuple[tuple[str, bytes], ...]:
+    """(name in the vault directory, exact bytes) for each protection file."""
+    if policy is PlacementPolicy.OUTSIDE_WEBROOT:
+        return ()
+    # In a denied subdirectory too: layered protection costs nothing and
+    # covers a server that ignores the deny file.
+    placeholder = ((INDEX_PLACEHOLDER_NAME, emit_index_placeholder(DEFAULT_PLACEHOLDER_MESSAGE)),)
+    if policy is PlacementPolicy.DENIED_SUBDIR:
+        return ((DENY_CONFIG_NAME, emit_deny_config()),) + placeholder
+    return placeholder
+
+
 def plan_layout(policy: PlacementPolicy, webroot: str, vault_dir: str) -> VaultLayout:
     """Validate the policy/path pair and list its artifacts; paths kept as given."""
     rel = _vault_rel(policy, webroot, vault_dir)
-    artifacts: tuple[tuple[str, bytes], ...] = ()
-    if policy is not PlacementPolicy.OUTSIDE_WEBROOT:
-        # In a denied subdirectory too: layered protection costs nothing and
-        # covers a server that ignores the deny file.
-        placeholder = emit_index_placeholder(DEFAULT_PLACEHOLDER_MESSAGE)
-        artifacts = ((f"{rel}/{INDEX_PLACEHOLDER_NAME}", placeholder),)
-    if policy is PlacementPolicy.DENIED_SUBDIR:
-        artifacts = ((f"{rel}/{DENY_CONFIG_NAME}", emit_deny_config()),) + artifacts
-    return VaultLayout(
-        policy=policy, webroot=webroot, vault_dir=vault_dir, artifacts=artifacts
-    )
+    artifacts = tuple((f"{rel}/{name}", content) for name, content in _protection_files(policy))
+    return VaultLayout(webroot=webroot, vault_dir=vault_dir, artifacts=artifacts)
 
 
 def materialize_layout(layout: VaultLayout) -> MaterializeResult:
@@ -190,16 +187,19 @@ def materialize_layout(layout: VaultLayout) -> MaterializeResult:
     return MaterializeResult(created=tuple(created), already_compliant=not created)
 
 
-def verify_layout(layout: VaultLayout) -> list[LayoutViolation]:
-    """Re-check the layout on disk; empty list means fully compliant."""
-    violations: list[LayoutViolation] = []
-    vault = Path(layout.vault_dir)
+def verify_layout(policy: PlacementPolicy, webroot: str, vault_dir: str) -> list[LayoutViolation]:
+    """Plan again and re-check on disk; empty list means fully compliant.
 
-    # Resolved again here: a path swapped for a symlink since planning shows.
+    A plan that fails is a 1a violation, and the vault directory's mode and
+    protection files are still checked.
+    """
+    violations: list[LayoutViolation] = []
+    vault = Path(vault_dir)
+
     try:
-        _vault_rel(layout.policy, layout.webroot, layout.vault_dir)
+        _vault_rel(policy, webroot, vault_dir)
     except PolicyPathMismatch as e:
-        violations.append(LayoutViolation("1a", layout.vault_dir, str(e)))
+        violations.append(LayoutViolation("1a", vault_dir, str(e)))
 
     if not vault.is_dir():
         violations.append(LayoutViolation("1a", str(vault), "vault dir missing"))
@@ -216,9 +216,9 @@ def verify_layout(layout: VaultLayout) -> list[LayoutViolation]:
             )
         )
 
-    for rel, content in layout.artifacts:
-        target = Path(layout.webroot) / rel
-        rule = "1b" if target.name == DENY_CONFIG_NAME else "2"
+    for name, content in _protection_files(policy):
+        target = vault / name
+        rule = "1b" if name == DENY_CONFIG_NAME else "2"
         try:
             on_disk = target.read_bytes()
         except FileNotFoundError:
@@ -232,6 +232,14 @@ def verify_layout(layout: VaultLayout) -> list[LayoutViolation]:
             )
 
     return violations
+
+
+def open_vault_dir(path: str | Path) -> int:
+    """Hold the vault directory open; every blob is reached under this fd."""
+    try:
+        return os.open(path, os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC)
+    except OSError as e:
+        raise StorageFailure(f"cannot open vault directory {path}: {e.strerror}") from None
 
 
 def open_blob(vault_fd: int, name: str) -> tuple[int, int]:

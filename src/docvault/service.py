@@ -36,15 +36,14 @@ from .errors import (
     InvalidFilename,
     NotFound,
     RangeNotSatisfiable,
-    StorageFailure,
     TooLarge,
     TruncatedBody,
     VaultError,
 )
 from .journal import JournalStore
-from .metadata import DocumentRecord, MetadataStore, new_doc_id
+from .metadata import UPLOAD_TEMP_PREFIX, DocumentRecord, MetadataStore, new_doc_id
 from .naming import NameInputs, SecretKey, derive_opaque_name
-from .placement import materialize_layout
+from .placement import materialize_layout, open_vault_dir
 
 MAX_NAME_RETRIES = 32
 _FALLBACK_EXTENSION = "bin"
@@ -76,12 +75,7 @@ class VaultCore:
         self.records = MetadataStore(journal)
         self.tokens = TokenStore(journal)
         self.vault_dir = Path(config.vault_dir)
-        try:
-            self.vault_fd = os.open(
-                self.vault_dir, os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC
-            )
-        except OSError as e:
-            raise StorageFailure(f"cannot open vault directory {self.vault_dir}: {e}")
+        self.vault_fd = open_vault_dir(self.vault_dir)
         # close() closes it, and so does dropping a core that was never closed
         self._close_vault = weakref.finalize(self, os.close, self.vault_fd)
         # last timestamp slot handed out per (username, extension); lets a
@@ -121,7 +115,7 @@ class VaultCore:
 
         sha = hashlib.sha256()
         head = b""
-        tmp_name = f".upload-{secrets.token_hex(8)}"
+        tmp_name = UPLOAD_TEMP_PREFIX + secrets.token_hex(8)
         fd = os.open(
             tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o600,
             dir_fd=self.vault_fd,

@@ -80,14 +80,36 @@ class TestResolvedPlacement:
         assert main(["serve"]) == 2
         assert "lies inside" in capsys.readouterr().err
 
-    def test_vault_swapped_for_symlink_after_init(self, env, outside, capsys):
+    def _swap_into_webroot(self, env, outside, capsys):
         assert main(["init"]) == 0
+        source = env / "doc.pdf"
+        source.write_bytes(b"%PDF data")
+        capsys.readouterr()
+        assert main(["ingest", str(source), "--owner", "alice"]) == 0
+        doc_id = capsys.readouterr().out.split()[0]
         assert main(["fsck"]) == 0
+        for blob in outside.iterdir():
+            blob.unlink()
         outside.rmdir()
         outside.symlink_to(env / "webroot" / "docs")
         capsys.readouterr()
-        assert main(["fsck"]) == 2
+        return doc_id
+
+    def test_vault_swapped_for_symlink_after_init(self, env, outside, capsys):
+        # fsck reports the placement as a finding and still sweeps the store.
+        doc_id = self._swap_into_webroot(env, outside, capsys)
+        assert main(["fsck"]) == 1
+        out = capsys.readouterr().out
+        assert f"layout 1a: {outside} (outside-webroot placement, but {outside} lies inside " in out
+        assert f"dangling-record: {doc_id} " in out
+        assert "2 issue(s) found" in out
+
+    def test_ingest_refused_after_swap(self, env, outside, capsys):
+        self._swap_into_webroot(env, outside, capsys)
+        source = env / "doc.pdf"
+        assert main(["ingest", str(source), "--owner", "alice"]) == 2
         assert "lies inside" in capsys.readouterr().err
+        assert list(outside.iterdir()) == []
 
     def test_outside_vault_named_through_link_in_webroot(self, env, outside, monkeypatch, capsys):
         (env / "elsewhere").mkdir(mode=0o700)
@@ -282,6 +304,29 @@ class TestFsck:
         monkeypatch.setenv("VAULT_STORE", "/proc/definitely/not/writable/store")
         assert main(["fsck"]) == 2
 
+    def test_needs_no_key(self, env, capsys, tmp_path, monkeypatch):
+        main(["init"])
+        self._ingest(env, tmp_path, capsys)
+        monkeypatch.delenv("VAULT_KEY_FILE")
+        assert main(["fsck"]) == 0
+        assert capsys.readouterr().out == "clean\n"
+
+    def test_leftover_upload_temp_reported(self, env, capsys, tmp_path):
+        main(["init"])
+        self._ingest(env, tmp_path, capsys)
+        temp = env / "webroot" / "docs" / ".upload-0123456789abcdef"
+        temp.write_bytes(b"%PDF par")
+        assert main(["fsck"]) == 1
+        out = capsys.readouterr().out
+        assert f"upload-temp: - {temp} (" in out and "orphan-blob" not in out
+
+    def test_missing_vault_dir(self, env, capsys):
+        assert main(["fsck"]) == 2
+        captured = capsys.readouterr()
+        vault = env / "webroot" / "docs"
+        assert captured.out == f"layout 1a: {vault} (vault dir missing)\n"
+        assert captured.err.startswith(f"error: cannot open vault directory {vault}: ")
+
 
 class TestAudit:
     def test_audit_vulnerable_exit_1(self, env, capsys, tmp_path):
@@ -363,6 +408,14 @@ class TestLayoutPlan:
         service.start()
         service.stop()
         assert len(calls) == 1
+
+    def test_load_config_does_not_plan(self, env, monkeypatch):
+        import docvault.config
+
+        calls = []
+        monkeypatch.setattr(docvault.config, "plan_layout", lambda *args: calls.append(args))
+        load_config()
+        assert calls == []
 
 
 class TestConfigFile:

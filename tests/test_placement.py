@@ -9,10 +9,8 @@ from docvault.errors import ArtifactConflict, PolicyPathMismatch
 from docvault.placement import (
     DEFAULT_PLACEHOLDER_MESSAGE,
     PlacementPolicy,
-    VaultLayout,
     emit_deny_config,
     emit_index_placeholder,
-    is_inside,
     materialize_layout,
     plan_layout,
     verify_layout,
@@ -69,14 +67,21 @@ class TestPlan:
 
 
 class TestContainment:
+    """Containment is component-wise and strict."""
+
     def test_sibling_prefix_not_inside(self):
-        assert not is_inside("/srv/www/html-evil", "/srv/www/html")
+        with pytest.raises(PolicyPathMismatch):
+            plan_layout(PlacementPolicy.DENIED_SUBDIR, "/srv/www/html", "/srv/www/html-evil")
 
     def test_descendant_inside(self):
-        assert is_inside("/srv/www/html/docs/deep", "/srv/www/html")
+        layout = plan_layout(
+            PlacementPolicy.DENIED_SUBDIR, "/srv/www/html", "/srv/www/html/docs/deep"
+        )
+        assert dict(layout.artifacts)["docs/deep/.htaccess"] == emit_deny_config()
 
     def test_self_not_inside(self):
-        assert not is_inside("/srv/www/html", "/srv/www/html")
+        with pytest.raises(PolicyPathMismatch):
+            plan_layout(PlacementPolicy.DENIED_SUBDIR, "/srv/www/html", "/srv/www/html")
 
 
 class TestEmission:
@@ -104,14 +109,19 @@ class TestEmission:
         assert b"<body><b></body>" not in emit_index_placeholder("<b>")
 
 
-def _tmp_layout(tmp_path, policy):
+def _tmp_paths(tmp_path, policy):
+    """(policy, webroot, vault_dir): the arguments of plan_layout and verify_layout."""
     webroot = tmp_path / "webroot"
     webroot.mkdir(exist_ok=True)
     if policy is PlacementPolicy.OUTSIDE_WEBROOT:
         vault = tmp_path / "vault"
     else:
         vault = webroot / "docs"
-    return plan_layout(policy, str(webroot), str(vault))
+    return policy, str(webroot), str(vault)
+
+
+def _tmp_layout(tmp_path, policy):
+    return plan_layout(*_tmp_paths(tmp_path, policy))
 
 
 class TestMaterialize:
@@ -153,35 +163,45 @@ class TestMaterialize:
 
 class TestVerify:
     def test_compliant_denied_subdir(self, tmp_path):
-        layout = _tmp_layout(tmp_path, PlacementPolicy.DENIED_SUBDIR)
-        materialize_layout(layout)
-        assert verify_layout(layout) == []
+        paths = _tmp_paths(tmp_path, PlacementPolicy.DENIED_SUBDIR)
+        materialize_layout(plan_layout(*paths))
+        assert verify_layout(*paths) == []
 
     def test_deleted_deny_config(self, tmp_path):
-        layout = _tmp_layout(tmp_path, PlacementPolicy.DENIED_SUBDIR)
+        paths = _tmp_paths(tmp_path, PlacementPolicy.DENIED_SUBDIR)
+        layout = plan_layout(*paths)
         materialize_layout(layout)
         (Path(layout.webroot) / "docs" / ".htaccess").unlink()
-        violations = verify_layout(layout)
+        violations = verify_layout(*paths)
         assert [v.rule for v in violations] == ["1b"]
 
     def test_modified_placeholder(self, tmp_path):
-        layout = _tmp_layout(tmp_path, PlacementPolicy.OBSCURED_SUBDIR)
+        paths = _tmp_paths(tmp_path, PlacementPolicy.OBSCURED_SUBDIR)
+        layout = plan_layout(*paths)
         materialize_layout(layout)
         (Path(layout.webroot) / "docs" / "index.html").write_bytes(b"<html>listing</html>")
-        violations = verify_layout(layout)
+        violations = verify_layout(*paths)
         assert [v.rule for v in violations] == ["2"]
 
     def test_world_readable_vault(self, tmp_path):
-        layout = _tmp_layout(tmp_path, PlacementPolicy.DENIED_SUBDIR)
+        paths = _tmp_paths(tmp_path, PlacementPolicy.DENIED_SUBDIR)
+        layout = plan_layout(*paths)
         materialize_layout(layout)
         os.chmod(layout.vault_dir, 0o755)
-        violations = verify_layout(layout)
+        violations = verify_layout(*paths)
         assert any(v.rule == "perm" for v in violations)
 
     def test_missing_vault_dir(self, tmp_path):
-        layout = _tmp_layout(tmp_path, PlacementPolicy.OUTSIDE_WEBROOT)
-        violations = verify_layout(layout)
+        violations = verify_layout(*_tmp_paths(tmp_path, PlacementPolicy.OUTSIDE_WEBROOT))
         assert violations and violations[0].rule == "1a"
+
+    def test_resolves_each_path_once(self, tmp_path, monkeypatch):
+        paths = _tmp_paths(tmp_path, PlacementPolicy.DENIED_SUBDIR)
+        materialize_layout(plan_layout(*paths))
+        realpath, resolved = os.path.realpath, []
+        monkeypatch.setattr(os.path, "realpath", lambda p: resolved.append(p) or realpath(p))
+        assert verify_layout(*paths) == []
+        assert sorted(resolved) == sorted(paths[1:])
 
 
 class TestResolvedPaths:
@@ -194,33 +214,33 @@ class TestResolvedPaths:
 
     def test_outside_vault_symlinked_into_webroot(self, tmp_path, www):
         (tmp_path / "vault").symlink_to(www / "docs")
+        paths = (PlacementPolicy.OUTSIDE_WEBROOT, str(www), str(tmp_path / "vault"))
         with pytest.raises(PolicyPathMismatch):
-            plan_layout(PlacementPolicy.OUTSIDE_WEBROOT, str(www), str(tmp_path / "vault"))
-        layout = VaultLayout(PlacementPolicy.OUTSIDE_WEBROOT, str(www), str(tmp_path / "vault"))
-        assert [v.rule for v in verify_layout(layout)] == ["1a"]
+            plan_layout(*paths)
+        assert [v.rule for v in verify_layout(*paths)] == ["1a"]
 
     def test_vault_swapped_for_symlink_after_init(self, tmp_path, www):
-        layout = plan_layout(PlacementPolicy.OUTSIDE_WEBROOT, str(www), str(tmp_path / "vault"))
-        materialize_layout(layout)
-        assert verify_layout(layout) == []
-        os.rmdir(layout.vault_dir)
-        os.symlink(www / "docs", layout.vault_dir)
-        violations = verify_layout(layout)
+        paths = (PlacementPolicy.OUTSIDE_WEBROOT, str(www), str(tmp_path / "vault"))
+        materialize_layout(plan_layout(*paths))
+        assert verify_layout(*paths) == []
+        os.rmdir(tmp_path / "vault")
+        os.symlink(www / "docs", tmp_path / "vault")
+        violations = verify_layout(*paths)
         assert [(v.rule, v.detail) for v in violations] == [
-            ("1a", f"outside-webroot placement, but {layout.vault_dir} lies inside {www}")
+            ("1a", f"outside-webroot placement, but {tmp_path / 'vault'} lies inside {www}")
         ]
 
     def test_vault_swapped_for_symlink_to_webroot_itself(self, tmp_path, www):
         # The whole served tree becomes the vault: equality counts as inside,
         # in verify as in plan.
-        layout = plan_layout(PlacementPolicy.OUTSIDE_WEBROOT, str(www), str(tmp_path / "vault"))
-        materialize_layout(layout)
-        assert verify_layout(layout) == []
-        os.rmdir(layout.vault_dir)
-        os.symlink(www, layout.vault_dir)
+        paths = (PlacementPolicy.OUTSIDE_WEBROOT, str(www), str(tmp_path / "vault"))
+        materialize_layout(plan_layout(*paths))
+        assert verify_layout(*paths) == []
+        os.rmdir(tmp_path / "vault")
+        os.symlink(www, tmp_path / "vault")
         with pytest.raises(PolicyPathMismatch):
-            plan_layout(PlacementPolicy.OUTSIDE_WEBROOT, str(www), layout.vault_dir)
-        assert [v.rule for v in verify_layout(layout)][0] == "1a"
+            plan_layout(*paths)
+        assert [v.rule for v in verify_layout(*paths)][0] == "1a"
 
     def test_named_inside_through_link_leading_out(self, tmp_path, www):
         # A server maps /link/ to www/link and follows the link, so a vault
@@ -228,29 +248,28 @@ class TestResolvedPaths:
         (tmp_path / "elsewhere" / "vault").mkdir(parents=True, mode=0o700)
         (www / "link").symlink_to(tmp_path / "elsewhere" / "vault")
         named = str(www / "link")
+        outside = (PlacementPolicy.OUTSIDE_WEBROOT, str(www), named)
         with pytest.raises(PolicyPathMismatch, match="lies inside"):
-            plan_layout(PlacementPolicy.OUTSIDE_WEBROOT, str(www), named)
-        outside = VaultLayout(PlacementPolicy.OUTSIDE_WEBROOT, str(www), named)
-        assert [v.rule for v in verify_layout(outside)] == ["1a"]
+            plan_layout(*outside)
+        assert [v.rule for v in verify_layout(*outside)] == ["1a"]
         # As a denied subdirectory it works: the deny file written through
         # the link lands in the vault, where the server honours it.
         layout = plan_layout(PlacementPolicy.DENIED_SUBDIR, str(www), named)
         assert dict(layout.artifacts)["link/.htaccess"] == emit_deny_config()
         materialize_layout(layout)
         assert (tmp_path / "elsewhere" / "vault" / ".htaccess").read_bytes() == emit_deny_config()
-        assert verify_layout(layout) == []
+        assert verify_layout(PlacementPolicy.DENIED_SUBDIR, str(www), named) == []
 
     def test_webroot_through_symlink(self, tmp_path, www):
         (tmp_path / "site").symlink_to(www)
-        layout = plan_layout(
-            PlacementPolicy.DENIED_SUBDIR, str(tmp_path / "site"), str(www / "docs")
-        )
+        paths = (PlacementPolicy.DENIED_SUBDIR, str(tmp_path / "site"), str(www / "docs"))
+        layout = plan_layout(*paths)
         assert dict(layout.artifacts)["docs/.htaccess"] == emit_deny_config()
         assert layout.webroot == str(tmp_path / "site")
         assert layout.vault_dir == str(www / "docs")
         materialize_layout(layout)
         assert (www / "docs" / ".htaccess").read_bytes() == emit_deny_config()
-        assert verify_layout(layout) == []
+        assert verify_layout(*paths) == []
 
     def test_dotdot_after_symlink(self, tmp_path, www):
         (www / "deep" / "inner").mkdir(parents=True)
@@ -261,7 +280,7 @@ class TestResolvedPaths:
         materialize_layout(layout)
         assert (www / "deep" / "vault" / ".htaccess").read_bytes() == emit_deny_config()
         assert not (www / "vault").exists()
-        assert verify_layout(layout) == []
+        assert verify_layout(PlacementPolicy.DENIED_SUBDIR, str(www), vault) == []
 
     def test_dotdot_after_symlink_leading_out(self, tmp_path, www):
         (tmp_path / "elsewhere" / "deep").mkdir(parents=True)
@@ -271,14 +290,23 @@ class TestResolvedPaths:
         for policy in PlacementPolicy:
             with pytest.raises(PolicyPathMismatch):
                 plan_layout(policy, str(www), vault)
-            layout = VaultLayout(policy, str(www), vault)
-            assert [v.rule for v in verify_layout(layout)][0] == "1a"
+            assert [v.rule for v in verify_layout(policy, str(www), vault)][0] == "1a"
+
+    def test_failed_plan_still_checks_protection_files(self, tmp_path, www):
+        # Named www/docs, really elsewhere/docs: no policy fits, and the files
+        # are still looked for in the directory the kernel reaches.
+        (tmp_path / "elsewhere" / "deep").mkdir(parents=True)
+        (tmp_path / "elsewhere" / "docs").mkdir(mode=0o700)
+        (www / "link").symlink_to(tmp_path / "elsewhere" / "deep")
+        paths = (PlacementPolicy.DENIED_SUBDIR, str(www), f"{www}/link/../docs")
+        assert [v.rule for v in verify_layout(*paths)] == ["1a", "1b", "2"]
+        (tmp_path / "elsewhere" / "docs" / ".htaccess").write_bytes(emit_deny_config())
+        assert [v.rule for v in verify_layout(*paths)] == ["1a", "2"]
 
 
 @given(st.sampled_from(list(PlacementPolicy)))
 @settings(max_examples=30, deadline=None)
 def test_plan_materialize_verify_clean(tmp_path_factory, policy):
-    tmp = tmp_path_factory.mktemp("layout")
-    layout = _tmp_layout(tmp, policy)
-    materialize_layout(layout)
-    assert verify_layout(layout) == []
+    paths = _tmp_paths(tmp_path_factory.mktemp("layout"), policy)
+    materialize_layout(plan_layout(*paths))
+    assert verify_layout(*paths) == []
