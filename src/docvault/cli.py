@@ -25,7 +25,7 @@ from .errors import (
     VaultError,
     WeakKey,
 )
-from .journal import JournalStore
+from .journal import JournalStore, ReadOnlyJournal
 from .metadata import MetadataStore, check_consistency
 from .placement import materialize_layout, verify_layout
 from .service import VaultCore, VaultService
@@ -222,12 +222,12 @@ def cmd_audit(args) -> int:
 
 
 def cmd_fsck(args) -> int:
-    # No key and no core: the config, the journal and the vault directory.
+    # No key, no core and no write: the config, the journal and the vault directory.
     config = load_config(config_file=args.config)
     violations = verify_layout(config.policy, config.webroot, config.vault_dir)
     for v in violations:
         print(f"layout {v.rule}: {v.path} ({v.detail})", flush=True)
-    with JournalStore(config.store_path) as journal:
+    with ReadOnlyJournal(config.store_path) as journal:
         issues = check_consistency(MetadataStore(journal), config.vault_dir)
     for issue in issues:
         who = issue.doc_id or "-"

@@ -3,7 +3,8 @@
 A protected document is never handed to a web server as a static file.
 The application opens the blob itself, builds the response headers
 (Content-Type, Content-Length, Accept-Ranges, Content-Disposition, and
-Content-Range on a 206) and streams the content in bounded-size chunks.
+Content-Range on a 206) and streams the content in bounded-size chunks,
+or has the kernel send it from the blob's fd.
 Single byte ranges are honored so the advertised ``Accept-Ranges: bytes``
 is truthful.
 """
@@ -101,11 +102,12 @@ def detect_media_type(original_filename: str, sniff: bytes = b"") -> str:
 
 @dataclass
 class StreamResult:
-    """One prepared response: status, headers, and a chunk iterator.
+    """One prepared response: status, headers, and the open blob its body
+    comes from, sent either as chunks or by ``sendfile``.
 
     It owns the open blob: ``chunks()`` closes it after the last chunk or
-    when the generator is closed, and ``close()`` does so for a result that
-    is never streamed.
+    when the generator is closed, ``sendfile()`` when it returns or raises,
+    and ``close()`` does so for a result that is never sent.
     """
 
     status: int  # 200 whole file, 206 partial
@@ -130,6 +132,23 @@ class StreamResult:
                     raise BlobMissing(f"blob truncated while streaming: {self.record.doc_id}")
                 offset += len(chunk)
                 yield chunk
+        finally:
+            self.close()
+
+    def sendfile(self, sock_fd: int) -> None:
+        """Send what ``chunks()`` yields to the socket ``sock_fd`` with
+        sendfile(2), which copies the blob's pages in the kernel.
+
+        The socket must be blocking.  A socket timeout makes it non-blocking,
+        and then this loop must wait out ``EAGAIN`` or use ``socket.sendfile``.
+        """
+        try:
+            offset, end = self.offset, self.offset + self.length
+            while offset < end:
+                sent = os.sendfile(sock_fd, self._fd, offset, end - offset)
+                if not sent:
+                    raise BlobMissing(f"blob truncated while streaming: {self.record.doc_id}")
+                offset += sent
         finally:
             self.close()
 

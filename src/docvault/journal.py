@@ -55,7 +55,10 @@ class JournalStore:
                     with open(self.path, "r+b") as fh:
                         fh.truncate(good)
                         os.fsync(fh.fileno())
-            self._fh = open(self.path, "ab")
+            # the journal holds every storage name and token hash: owner only
+            self._fh = os.fdopen(os.open(
+                self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_CLOEXEC, 0o600
+            ), "ab")
         except OSError as e:
             raise StorageFailure(f"cannot open store {self.path}: {e}")
 
@@ -131,3 +134,19 @@ class JournalStore:
 
     def __exit__(self, *exc):
         self.close()
+
+
+class ReadOnlyJournal(JournalStore):
+    """The journal as it stands, for a check that must write nothing: a
+    missing file reads as an empty store, a torn tail stays, a write raises."""
+
+    def _open(self):
+        try:
+            self._replay()
+        except FileNotFoundError:
+            pass
+        except OSError as e:
+            raise StorageFailure(f"cannot read store {self.path}: {e}")
+
+    def _append(self, payload: dict):
+        raise StorageFailure(f"store {self.path} is open read-only")

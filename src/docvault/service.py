@@ -298,8 +298,10 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
     # makes a second small write do: TCP_NODELAY on every accepted socket,
     # and a buffered wfile, so that a small reply's status line, headers and
     # body leave in one write when handle_one_request flushes it after the
-    # verb.  The buffer is one byte short of a chunk: a full download chunk
-    # is then larger than it and goes to the socket without being copied.
+    # verb.  Only a body of at most one chunk passes through wfile; a larger
+    # one is sent by sendfile after the headers.  The buffer is one byte
+    # short of a chunk, so a body of one full chunk goes to the socket
+    # without being copied into it.
     disable_nagle_algorithm = True
     wbufsize = delivery.CHUNK_SIZE - 1
 
@@ -329,7 +331,8 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
             status, message, close = _ERRORS[cls]
             reply = status, {"error": message}
         if isinstance(reply, delivery.StreamResult):
-            status, headers, chunks = reply.status, reply.headers, reply.chunks()
+            status, headers = reply.status, reply.headers
+            chunks = reply.chunks() if reply.length <= delivery.CHUNK_SIZE else None
         else:
             status, body = reply
             if not isinstance(body, bytes):
@@ -350,8 +353,12 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
             if close or (status != 201 if self.command == "POST" else length):
                 self.send_header("Connection", "close")  # sets close_connection
             self.end_headers()
-            for chunk in chunks:
-                self.wfile.write(chunk)
+            if chunks is None:  # the headers leave first
+                self.wfile.flush()
+                reply.sendfile(self.connection.fileno())
+            else:
+                for chunk in chunks:
+                    self.wfile.write(chunk)
         except BlobMissing:
             self.close_connection = True
         finally:

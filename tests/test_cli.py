@@ -326,6 +326,22 @@ class TestFsck:
         vault = env / "webroot" / "docs"
         assert captured.out == f"layout 1a: {vault} (vault dir missing)\n"
         assert captured.err.startswith(f"error: cannot open vault directory {vault}: ")
+        assert not (env / "store.journal").exists()
+
+    def test_missing_store_is_checked_as_empty_and_not_created(self, env, capsys,
+                                                               monkeypatch):
+        main(["init"])
+        store = env / "state" / "store.journal"
+        monkeypatch.setenv("VAULT_STORE", str(store))
+        assert main(["fsck"]) == 0
+        assert capsys.readouterr().out.endswith("clean\n")
+        assert not store.exists() and not store.parent.exists()
+
+    def test_unreadable_store(self, env, capsys, monkeypatch):
+        main(["init"])
+        monkeypatch.setenv("VAULT_STORE", str(env))  # a directory
+        assert main(["fsck"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read store {env}: ")
 
 
 class TestAudit:

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import socket
 import threading
 
 import pytest
@@ -241,6 +242,60 @@ class TestStreaming:
         received = b"".join(result.chunks())
         assert received == content
         assert dict(result.headers)["Content-Length"] == str(len(received))
+
+
+def sent_over_socketpair(result) -> bytes:
+    """What ``result.sendfile`` puts on one end of a socketpair, read at the
+    other end while it sends."""
+    ours, theirs = socket.socketpair()
+    received = bytearray()
+
+    def read():
+        while data := theirs.recv(1 << 16):
+            received.extend(data)
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    try:
+        result.sendfile(ours.fileno())
+    finally:
+        ours.close()
+        reader.join(timeout=5)
+        theirs.close()
+    return bytes(received)
+
+
+def assert_closed(fd: int) -> None:
+    with pytest.raises(OSError):
+        os.fstat(fd)
+
+
+class TestSendfile:
+    """The body of more than one chunk goes from the blob's fd to the socket."""
+
+    content = bytes(range(256)) * 8192  # 2 MiB, many chunks
+
+    def test_whole_body(self, tmp_path):
+        record, vault, proof = stored(tmp_path, self.content)
+        result = stream_document(record, vault, proof)
+        fd = result._fd
+        assert sent_over_socketpair(result) == self.content
+        assert_closed(fd)
+
+    def test_range_at_an_offset(self, tmp_path):
+        record, vault, proof = stored(tmp_path, self.content)
+        result = stream_document(record, vault, proof, byte_range=(70000, 1500000))
+        assert result.offset == 70000 and result.length == 1430001
+        assert sent_over_socketpair(result) == self.content[70000:1500001]
+
+    def test_truncated_blob_raises_and_closes(self, tmp_path):
+        record, vault, proof = stored(tmp_path, self.content)
+        result = stream_document(record, vault, proof)
+        fd = result._fd
+        os.truncate(tmp_path / "vault" / record.opaque_name.render(), CHUNK_SIZE + 10)
+        with pytest.raises(BlobMissing):
+            sent_over_socketpair(result)
+        assert_closed(fd)
 
 
 class TestRangeHeaderParsing:

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from docvault.errors import DuplicateOpaqueName, InvalidCursor
-from docvault.journal import JournalStore
+from docvault.errors import DuplicateOpaqueName, InvalidCursor, StorageFailure
+from docvault.journal import JournalStore, ReadOnlyJournal
 from docvault.metadata import (
     ConsistencyIssue,
     DocumentRecord,
@@ -140,6 +140,35 @@ class TestDurability:
         with JournalStore(path) as journal:
             assert journal.get("a") == {"n": 1}
             assert journal.get("b") == {"n": 2}
+
+    def test_fresh_journal_is_owner_only(self, tmp_path):
+        # it holds every storage name and token hash
+        old = os.umask(0o022)
+        try:
+            JournalStore(tmp_path / "store.journal").close()
+        finally:
+            os.umask(old)
+        assert (tmp_path / "store.journal").stat().st_mode & 0o777 == 0o600
+
+    def test_read_only_journal_writes_nothing(self, tmp_path):
+        missing = tmp_path / "state" / "store.journal"
+        with ReadOnlyJournal(missing) as journal:
+            assert journal.items() == []
+            with pytest.raises(StorageFailure):
+                journal.put("a", {"n": 1})
+        assert not missing.parent.exists()
+
+        path = tmp_path / "store.journal"
+        with JournalStore(path) as journal:
+            journal.put("a", {"n": 1})
+        with open(path, "ab") as fh:
+            fh.write(b'deadbeef:{"op":"put","key":"torn')
+        before = path.read_bytes()
+        with ReadOnlyJournal(path) as journal:
+            assert journal.items() == [("a", {"n": 1})]
+            with pytest.raises(StorageFailure):
+                journal.delete("a")
+        assert path.read_bytes() == before  # the torn tail is left in place
 
     def test_delete_survives_reopen(self, tmp_path):
         path = tmp_path / "store.journal"

@@ -15,7 +15,7 @@ import requests
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from docvault import service
+from docvault import delivery, service
 from docvault.access import Principal, Role
 from docvault.errors import StorageFailure
 from docvault.journal import JournalStore
@@ -871,3 +871,58 @@ class TestClientGoesAway:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
         assert handler_threads_done()
         assert "Traceback" not in capfd.readouterr().err
+
+
+class TestMultiChunkDownload:
+    """A body of more than one chunk is sent from the blob's fd after the
+    headers; the blob can change between the prepare and the send."""
+
+    content = bytes(range(256)) * 8192  # 2 MiB, many chunks
+
+    @pytest.fixture
+    def after_prepare(self, svc, monkeypatch):
+        """Run ``action(blob_path)`` on each blob as soon as its download is prepared."""
+        actions = []
+        prepare = delivery.stream_document
+
+        def prepare_then_act(record, *args, **kw):
+            result = prepare(record, *args, **kw)
+            for action in actions:
+                action(svc.core.vault_dir / record.opaque_name.render())
+            return result
+
+        monkeypatch.setattr(delivery, "stream_document", prepare_then_act)
+        return actions
+
+    def test_range_at_an_offset_is_byte_exact(self, svc, user_token):
+        doc = upload(svc, user_token, "big.bin", self.content).json()
+        got = requests.get(f"{svc.base_url}/documents/{doc['doc_id']}",
+                           headers={**auth(user_token), "Range": "bytes=70000-1500000"})
+        assert got.status_code == 206
+        assert got.headers["Content-Range"] == f"bytes 70000-1500000/{len(self.content)}"
+        assert got.content == self.content[70000:1500001]
+
+    def test_deleted_after_prepare_arrives_whole(self, svc, user_token, after_prepare):
+        doc = upload(svc, user_token, "big.bin", self.content).json()
+        after_prepare.append(os.unlink)
+        got = requests.get(f"{svc.base_url}/documents/{doc['doc_id']}", headers=auth(user_token))
+        assert got.status_code == 200
+        assert got.content == self.content
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_truncated_after_prepare_ends_short_and_closed(self, svc, user_token,
+                                                           after_prepare):
+        doc = upload(svc, user_token, "big.bin", self.content).json()
+        after_prepare.append(lambda blob: os.truncate(blob, 100_000))
+        with socket.create_connection(svc.address, timeout=3) as sock:
+            sock.sendall((f"GET /documents/{doc['doc_id']} HTTP/1.1\r\nHost: x\r\n"
+                          f"Authorization: Bearer {user_token}\r\n\r\n").encode())
+            raw = b""
+            while chunk := sock.recv(65536):  # a hang raises TimeoutError
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert f"Content-Length: {len(self.content)}".encode() in head
+        assert body == self.content[:100_000]
+        assert open_blob_fds(svc.core.vault_dir) == 0
+        assert requests.get(f"{svc.base_url}/healthz").status_code == 200
