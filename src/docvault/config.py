@@ -82,12 +82,9 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 def _parse_bind(bind: str) -> tuple[str, int]:
     host, sep, port = bind.rpartition(":")
-    if not sep:
-        raise ConfigError(f"bind address must be host:port, got {bind!r}")
-    try:
+    if sep and port.isascii() and port.isdigit() and len(port) <= 5 and int(port) <= 65535:
         return host, int(port)
-    except ValueError:
-        raise ConfigError(f"invalid port in bind address {bind!r}")
+    raise ConfigError(f"bind address must be host:port with a port of 0-65535, got {bind!r}")
 
 
 _POLICY_ALIASES = {p.value: p for p in PlacementPolicy}

@@ -41,8 +41,9 @@ class JournalStore:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._lock = threading.RLock()
+        self.lock = threading.RLock()  # shared with callers that need several steps atomic
         self._data: dict[str, dict] = {}
+        self._stores: list = []
         self._fh = None
         self._open()
 
@@ -59,6 +60,8 @@ class JournalStore:
             self._fh = os.fdopen(os.open(
                 self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_CLOEXEC, 0o600
             ), "ab")
+            if os.fstat(self._fh.fileno()).st_mode & 0o177:  # a journal made before 0600
+                os.fchmod(self._fh.fileno(), 0o600)
         except OSError as e:
             raise StorageFailure(f"cannot open store {self.path}: {e}")
 
@@ -97,34 +100,41 @@ class JournalStore:
         except OSError as e:
             raise StorageFailure(f"append to {self.path} failed: {e}")
 
+    def attach(self, store) -> None:
+        """Run ``store.rebuild(items)`` now and ``store.apply(key, old, new)`` after
+        each durable put or delete, under the lock; None stands for no value."""
+        with self.lock:
+            store.rebuild(self._data.items())
+            self._stores.append(store)
+
     def put(self, key: str, value: dict):
-        with self._lock:
+        with self.lock:
             self._append({"op": "put", "key": key, "value": value})
+            old = self._data.get(key)
             self._data[key] = value
+            for store in self._stores:
+                store.apply(key, old, value)
 
     def delete(self, key: str) -> bool:
-        with self._lock:
+        with self.lock:
             if key not in self._data:
                 return False
             self._append({"op": "del", "key": key, "value": None})
-            del self._data[key]
+            old = self._data.pop(key)
+            for store in self._stores:
+                store.apply(key, old, None)
             return True
 
     def get(self, key: str) -> dict | None:
-        with self._lock:
+        with self.lock:
             return self._data.get(key)
 
-    def items(self, prefix: str = "") -> list[tuple[str, dict]]:
-        with self._lock:
-            return [(k, v) for k, v in self._data.items() if k.startswith(prefix)]
-
-    @property
-    def lock(self) -> threading.RLock:
-        """Shared lock for callers needing multi-step atomicity."""
-        return self._lock
+    def items(self) -> list[tuple[str, dict]]:
+        with self.lock:
+            return list(self._data.items())
 
     def close(self):
-        with self._lock:
+        with self.lock:
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None

@@ -13,7 +13,6 @@ import json
 import os
 import secrets
 import sys
-import threading
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, asdict
 from functools import cached_property
@@ -84,48 +83,70 @@ def new_doc_id() -> str:
 class MetadataStore:
     """Record store over the journal; one writer, many readers.
 
-    Uniqueness of doc_id and opaque_name is enforced under the journal's
-    lock, so concurrent puts cannot both claim the same name.
-
-    Listings page through a keyset index: the sorted (upload_timestamp,
-    doc_id) keys of all records and of each owner's, kept current under the
-    same lock.  A page is a bisect and a slice.  A record is decoded once,
-    on its first read, into a map that put_record fills and delete_record
-    empties under the same lock; start-up decodes nothing.
+    The journal drives the indexes, under its lock: ``rebuild`` derives them
+    when the store attaches, and ``apply`` patches them after each durable
+    put or delete.  They hold the live opaque names, the sorted (upload_timestamp,
+    doc_id) keys of all records and of each owner's, which page listings with a
+    bisect and a slice, and the newest slot per (owner, extension).  put_record
+    checks that doc_id and opaque name are unique under the same lock.  A record
+    is decoded once, on its first read, into a map that only ``apply`` evicts
+    from; start-up decodes nothing.
     """
 
     def __init__(self, journal: JournalStore):
         self._journal = journal
-        self._by_name: dict[str, str] = {}  # rendered opaque name -> doc_id
         self._records: dict[str, DocumentRecord] = {}
-        self._keys: list[tuple[int, str]] = []
-        self._keys_by_owner: dict[str, list[tuple[int, str]]] = {}
-        for _, value in journal.items(_DOC_PREFIX):
-            self._by_name[value["opaque_name"]] = value["doc_id"]
-            key = (value["upload_timestamp"], value["doc_id"])
-            self._keys.append(key)
-            self._keys_by_owner.setdefault(value["owner"], []).append(key)
-        self._keys.sort()
-        for keys in self._keys_by_owner.values():
-            keys.sort()
+        journal.attach(self)
 
-    @property
-    def lock(self) -> threading.RLock:
-        return self._journal.lock
+    def rebuild(self, items) -> None:
+        """Index every ``doc:`` entry: one pass, then one sort per key list."""
+        names, keys, owners, slots = {}, [], {}, {}
+        for key, v in items:
+            if key.startswith(_DOC_PREFIX):
+                ts, owner, rendered = v["upload_timestamp"], v["owner"], v["opaque_name"]
+                names[rendered] = v["doc_id"]
+                keys.append((ts, v["doc_id"]))
+                owners.setdefault(owner, []).append(keys[-1])
+                slot = (owner, rendered.partition(".")[2])
+                if slots.get(slot, -1) < ts:
+                    slots[slot] = ts
+        keys.sort()
+        for owned in owners.values():
+            owned.sort()
+        self._by_name, self._keys, self._keys_by_owner, self._slots = names, keys, owners, slots
+
+    def apply(self, key: str, old: dict | None, new: dict | None) -> None:
+        """Patch the indexes for one journal change; ``old`` is None for a new
+        key and ``new`` is None for a delete.  A delete never lowers a slot."""
+        if not key.startswith(_DOC_PREFIX):
+            return
+        if old is not None:
+            self._records.pop(old["doc_id"], None)
+            self._by_name.pop(old["opaque_name"], None)
+            index = (old["upload_timestamp"], old["doc_id"])
+            owned = self._keys_by_owner[old["owner"]]
+            for keys in (self._keys, owned):
+                del keys[bisect_left(keys, index)]
+            if not owned:
+                del self._keys_by_owner[old["owner"]]
+        if new is not None:
+            ts, owner, rendered = new["upload_timestamp"], new["owner"], new["opaque_name"]
+            self._by_name[rendered] = new["doc_id"]
+            insort(self._keys, (ts, new["doc_id"]))
+            insort(self._keys_by_owner.setdefault(owner, []), (ts, new["doc_id"]))
+            slot = (owner, rendered.partition(".")[2])
+            if self._slots.get(slot, -1) < ts:
+                self._slots[slot] = ts
 
     def put_record(self, record: DocumentRecord) -> str:
         rendered = record.opaque_name.render()
-        key = (record.upload_timestamp, record.doc_id)
         with self._journal.lock:
             if rendered in self._by_name:
                 raise DuplicateOpaqueName(rendered)
             if self._journal.get(_DOC_PREFIX + record.doc_id) is not None:
                 raise StorageFailure(f"doc_id collision: {record.doc_id}")
             self._journal.put(_DOC_PREFIX + record.doc_id, record.to_dict())
-            self._by_name[rendered] = record.doc_id
             self._records[record.doc_id] = record
-            insort(self._keys, key)
-            insort(self._keys_by_owner.setdefault(record.owner, []), key)
         return record.doc_id
 
     def get_by_id(self, doc_id: str) -> DocumentRecord | None:
@@ -149,16 +170,9 @@ class MetadataStore:
         """Whether a live record holds this rendered opaque name."""
         return rendered in self._by_name
 
-    def last_timestamp(self, owner: str, extension: str) -> int:
-        """The newest upload_timestamp among the owner's records whose
-        opaque name has this extension, or -1 without one: the walk starts
-        at the end of the owner's keyset list and stops at the first match."""
-        suffix = "." + extension
-        with self._journal.lock:
-            for ts, doc_id in reversed(self._keys_by_owner.get(owner, ())):
-                if self._journal.get(_DOC_PREFIX + doc_id)["opaque_name"].endswith(suffix):
-                    return ts
-        return -1
+    def last_slot(self, owner: str, extension: str) -> int:
+        """The newest timestamp of (owner, extension) live at start or put since, or -1."""
+        return self._slots.get((owner, extension), -1)
 
     def list_by_owner(
         self, owner: str, cursor: str | None = None, page_size: int = DEFAULT_PAGE_SIZE
@@ -194,20 +208,7 @@ class MetadataStore:
         return rows, next_cursor
 
     def delete_record(self, doc_id: str) -> bool:
-        with self._journal.lock:
-            value = self._journal.get(_DOC_PREFIX + doc_id)
-            if value is None:
-                return False
-            self._journal.delete(_DOC_PREFIX + doc_id)
-            self._records.pop(doc_id, None)
-            self._by_name.pop(value["opaque_name"], None)
-            key = (value["upload_timestamp"], doc_id)
-            owned = self._keys_by_owner[value["owner"]]
-            for keys in (self._keys, owned):
-                del keys[bisect_left(keys, key)]
-            if not owned:
-                del self._keys_by_owner[value["owner"]]
-            return True
+        return self._journal.delete(_DOC_PREFIX + doc_id)
 
 
 @dataclass(frozen=True)

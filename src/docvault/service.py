@@ -78,10 +78,6 @@ class VaultCore:
         self.vault_fd = open_vault_dir(self.vault_dir)
         # close() closes it, and so does dropping a core that was never closed
         self._close_vault = weakref.finalize(self, os.close, self.vault_fd)
-        # last timestamp slot handed out per (username, extension); lets a
-        # burst of same-second uploads claim ts, ts+1, ... without rescanning.
-        # A key missing after a start is rebuilt from the store on first use.
-        self._last_slot: dict[tuple[str, str], int] = {}
 
     def close(self) -> None:
         self._close_vault()
@@ -136,13 +132,9 @@ class VaultCore:
                 os.fsync(tmp.fileno())
 
             media_type = delivery.detect_media_type(filename, head)
-            record = None
-            with self.records.lock:
-                slot_key = (principal.username, ext)
-                last = self._last_slot.get(slot_key)
-                if last is None:
-                    last = self.records.last_timestamp(principal.username, ext)
-                start_ts = max(base_ts, last + 1)
+            with self.journal.lock:
+                # a burst of same-second uploads claims ts, ts+1, ... without retrying
+                start_ts = max(base_ts, self.records.last_slot(principal.username, ext) + 1)
                 for attempt in range(MAX_NAME_RETRIES):
                     ts = start_ts + attempt
                     name = derive_opaque_name(
@@ -172,7 +164,6 @@ class VaultCore:
                     except Exception:
                         self._unlink(rendered)
                         raise
-                    self._last_slot[slot_key] = ts
                     break
                 else:
                     raise DuplicateOpaqueName(

@@ -410,6 +410,18 @@ class TestServe:
             proc.terminate()
             proc.wait(timeout=5)
 
+    @pytest.mark.parametrize("bind", ["127.0.0.1:99999", "127.0.0.1:-1"])
+    def test_out_of_range_port_exit_2(self, env, monkeypatch, capsys, bind):
+        monkeypatch.setenv("VAULT_BIND", bind)
+        assert main(["serve"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_port_range_ends_are_accepted(self, env, monkeypatch):
+        for port in (0, 65535):
+            monkeypatch.setenv("VAULT_BIND", f"127.0.0.1:{port}")
+            assert load_config().bind_port == port
+
 
 class TestLayoutPlan:
     def test_one_plan_per_start(self, env, monkeypatch):

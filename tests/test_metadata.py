@@ -150,6 +150,19 @@ class TestDurability:
             os.umask(old)
         assert (tmp_path / "store.journal").stat().st_mode & 0o777 == 0o600
 
+    def test_existing_loose_journal_is_made_owner_only(self, tmp_path):
+        # a journal made before new ones were created 0600
+        path = tmp_path / "store.journal"
+        with JournalStore(path) as journal:
+            journal.put("a", {"n": 1})
+        path.chmod(0o644)
+        with ReadOnlyJournal(path):
+            pass
+        assert path.stat().st_mode & 0o777 == 0o644  # a check writes nothing
+        with JournalStore(path) as journal:
+            assert path.stat().st_mode & 0o777 == 0o600
+            assert journal.get("a") == {"n": 1}
+
     def test_read_only_journal_writes_nothing(self, tmp_path):
         missing = tmp_path / "state" / "store.journal"
         with ReadOnlyJournal(missing) as journal:
@@ -393,6 +406,45 @@ class TestDelete:
         store.put_record(record)
         store.delete_record(record.doc_id)
         store.put_record(make_record(doc_id=new_doc_id(), opaque_name=record.opaque_name))
+
+
+class TestJournalHook:
+    def test_journal_writes_reach_an_attached_store(self, tmp_path):
+        with JournalStore(tmp_path / "store.journal") as journal:
+            store = MetadataStore(journal)
+            record = make_record()
+            journal.put("doc:" + record.doc_id, record.to_dict())
+            assert store.list_all() == ([record], None)
+            assert store.get_by_id(record.doc_id) == record
+            assert store.name_taken(record.opaque_name.render())
+
+            moved = make_record(7, doc_id=record.doc_id, original_filename="moved.pdf")
+            journal.put("doc:" + record.doc_id, moved.to_dict())
+            assert store.list_all() == ([moved], None)
+            assert store.get_by_id(record.doc_id) == moved
+            assert not store.name_taken(record.opaque_name.render())
+            assert store.name_taken(moved.opaque_name.render())
+
+            assert journal.delete("doc:" + record.doc_id)
+            assert store.list_all() == ([], None)
+            assert store.list_by_owner("alice") == ([], None)
+            assert store.get_by_id(record.doc_id) is None
+            assert not store.name_taken(moved.opaque_name.render())
+
+    def test_two_stores_on_one_journal_list_the_same_rows(self, tmp_path):
+        records = [make_record(i, owner=f"o{i % 2}") for i in range(4)]
+        with JournalStore(tmp_path / "store.journal") as journal:
+            first = MetadataStore(journal)
+            first.put_record(records[0])
+            second = MetadataStore(journal)
+            first.put_record(records[1])
+            second.put_record(records[2])
+            second.put_record(records[3])
+            assert first.delete_record(records[1].doc_id)
+            for store in (first, second):
+                assert store.list_all() == ([records[0], records[2], records[3]], None)
+                assert store.list_by_owner("o1") == ([records[3]], None)
+                assert not store.name_taken(records[1].opaque_name.render())
 
 
 class TestRecordMap:

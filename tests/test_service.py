@@ -683,6 +683,28 @@ class TestNameAllocation:
         assert other_ext.upload_timestamp == 1000  # the .pdf records do not hold .txt slots
         assert derived == [1040, 1000]
 
+    def test_a_deleted_record_keeps_its_slot(self, core):
+        alice = Principal("alice", Role.USER)
+        burst = [core.upload(alice, f"{i}.pdf", io.BytesIO(b"x"), 1, now=1000) for i in range(3)]
+        assert [r.upload_timestamp for r in burst] == [1000, 1001, 1002]
+        core.delete_document(alice, burst[-1].doc_id)
+        after = core.upload(alice, "next.pdf", io.BytesIO(b"y"), 1, now=1000)
+        assert after.upload_timestamp == 1003
+
+    def test_a_record_deleted_before_any_upload_keeps_its_slot(self, core, vault_config):
+        """The slot is rebuilt from the records live when the store opens, so
+        a delete before the process's first upload does not lower it."""
+        alice = Principal("alice", Role.USER)
+        burst = [core.upload(alice, f"{i}.pdf", io.BytesIO(b"x"), 1, now=1000) for i in range(3)]
+        with JournalStore(vault_config.store_path) as journal:
+            reopened = VaultCore(vault_config, core.key, journal)
+            try:
+                reopened.delete_document(alice, burst[-1].doc_id)
+                after = reopened.upload(alice, "next.pdf", io.BytesIO(b"y"), 1, now=1000)
+            finally:
+                reopened.close()
+        assert after.upload_timestamp == 1003
+
     def test_cross_user_clash_retries_and_keeps_the_first(self, core):
         """The derivation input has no separator, so ("alice1", 23) and
         ("alice", 123) name the same blob; the second upload retries."""
