@@ -15,6 +15,7 @@ import hmac
 import secrets
 from dataclasses import dataclass
 
+from .errors import InvalidInput
 from .journal import JournalStore
 from .metadata import DocumentRecord
 
@@ -39,7 +40,7 @@ class Principal:
 
     def __post_init__(self):
         if not self.username:
-            raise ValueError("username must be non-empty")
+            raise InvalidInput("username must be non-empty")
 
 
 @dataclass(frozen=True, init=False)
@@ -79,6 +80,7 @@ class TokenStore:
 
     def create_token(self, username: str, role: Role = Role.USER) -> tuple[str, str]:
         """Mint a token; returns (token_id, plaintext).  Plaintext is not stored."""
+        Principal(username, role)  # the username's rule, checked before anything is stored
         token_id = "t" + secrets.token_hex(8)
         secret = secrets.token_hex(24)
         plaintext = f"{token_id}.{secret}"
@@ -106,7 +108,10 @@ class TokenStore:
             return None
         if not hmac.compare_digest(entry["secret_hash"], _hash_secret(secret)):
             return None
-        return Principal(username=entry["username"], role=Role(entry["role"]))
+        try:
+            return Principal(username=entry["username"], role=Role(entry["role"]))
+        except InvalidInput:  # stored before usernames were checked
+            return None
 
 
 def parse_bearer(header_value: str | None) -> str | None:

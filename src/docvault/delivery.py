@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import mimetypes
 import os
+import socket
 from dataclasses import dataclass
 from typing import Iterator
 from urllib.parse import quote
@@ -103,12 +104,9 @@ def detect_media_type(original_filename: str, sniff: bytes = b"") -> str:
 @dataclass
 class StreamResult:
     """One prepared response: status, headers, and the open blob its body
-    comes from, sent either as chunks or by ``sendfile``.
-
-    It owns the open blob: ``chunks()`` closes it after the last chunk or
-    when the generator is closed, ``sendfile()`` when it returns or raises,
-    and ``close()`` does so for a result that is never sent.
-    """
+    comes from, sent either as chunks or by ``sendfile``, neither of which
+    closes it: its holder (the service's ``_serve``, or ``vault get``) calls
+    ``close()`` however the reply ends."""
 
     status: int  # 200 whole file, 206 partial
     headers: list[tuple[str, str]]
@@ -124,33 +122,21 @@ class StreamResult:
         size.  The length was taken from the open file up front; if the
         blob shrank since, this raises rather than padding.
         """
-        try:
-            offset, end = self.offset, self.offset + self.length
-            while offset < end:
-                chunk = os.pread(self._fd, min(CHUNK_SIZE, end - offset), offset)
-                if not chunk:
-                    raise BlobMissing(f"blob truncated while streaming: {self.record.doc_id}")
-                offset += len(chunk)
-                yield chunk
-        finally:
-            self.close()
+        offset, end = self.offset, self.offset + self.length
+        while offset < end:
+            chunk = os.pread(self._fd, min(CHUNK_SIZE, end - offset), offset)
+            if not chunk:
+                raise BlobMissing(f"blob truncated while streaming: {self.record.doc_id}")
+            offset += len(chunk)
+            yield chunk
 
-    def sendfile(self, sock_fd: int) -> None:
-        """Send what ``chunks()`` yields to the socket ``sock_fd`` with
-        sendfile(2), which copies the blob's pages in the kernel.
-
-        The socket must be blocking.  A socket timeout makes it non-blocking,
-        and then this loop must wait out ``EAGAIN`` or use ``socket.sendfile``.
-        """
-        try:
-            offset, end = self.offset, self.offset + self.length
-            while offset < end:
-                sent = os.sendfile(sock_fd, self._fd, offset, end - offset)
-                if not sent:
-                    raise BlobMissing(f"blob truncated while streaming: {self.record.doc_id}")
-                offset += sent
-        finally:
-            self.close()
+    def sendfile(self, sock: socket.socket) -> None:
+        """Send what ``chunks()`` yields to ``sock`` with ``socket.sendfile``,
+        which has the kernel copy the blob's pages."""
+        with open(self._fd, "rb", buffering=0, closefd=False) as blob:
+            sent = sock.sendfile(blob, self.offset, self.length)
+        if sent != self.length:
+            raise BlobMissing(f"blob truncated while streaming: {self.record.doc_id}")
 
     def close(self) -> None:
         fd, self._fd = self._fd, -1
@@ -201,9 +187,10 @@ def stream_document(
     record: DocumentRecord,
     vault_fd: int,
     authz_proof: AccessProof,
-    byte_range: tuple[int, int] | None = None,
+    range_header: str | None = None,
 ) -> StreamResult:
-    """Prepare the mediated response for one record.
+    """Prepare the mediated response for one record, whole or the one range
+    that ``range_header`` asks for of the blob as opened.
 
     Requires an AccessProof for this document (only authorize() can issue
     one) and never modifies the blob, which ``open_blob`` opens under the
@@ -214,18 +201,13 @@ def stream_document(
 
     fd, size = open_blob(vault_fd, record.opaque_name.render())
     try:
-        if byte_range is None:
-            start, length, content_range = 0, size, None
-        else:
-            start, end = byte_range
-            if start >= size:
-                raise RangeNotSatisfiable(f"range start {start} >= blob size {size}")
-            end = min(end, size - 1)
-            length, content_range = end - start + 1, f"bytes {start}-{end}/{size}"
+        byte_range = parse_range_header(range_header, size)
+        start, end = byte_range or (0, size - 1)
         return StreamResult(
-            status=200 if content_range is None else 206,
-            headers=build_headers(record, length, content_range),
-            record=record, offset=start, length=length, _fd=fd,
+            status=206 if byte_range else 200,
+            headers=build_headers(record, end - start + 1,
+                                  byte_range and f"bytes {start}-{end}/{size}"),
+            record=record, offset=start, length=end - start + 1, _fd=fd,
         )
     except BaseException:
         os.close(fd)

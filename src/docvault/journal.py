@@ -92,6 +92,8 @@ class JournalStore:
         return good
 
     def _append(self, payload: dict):
+        if self._fh is None:
+            raise StorageFailure(f"store {self.path} is closed")
         frame = _frame(payload)
         try:
             self._fh.write(frame)
@@ -135,6 +137,7 @@ class JournalStore:
 
     def close(self):
         with self.lock:
+            self._stores.clear()  # each attached store refers back to this one
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None

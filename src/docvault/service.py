@@ -21,6 +21,7 @@ import time
 import unicodedata
 import weakref
 from contextlib import suppress
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import BinaryIO
@@ -197,15 +198,11 @@ class VaultCore:
         doc_id: str,
         range_header: str | None = None,
     ) -> delivery.StreamResult:
-        """Lookup, then authorize, then parse the range, in that order.
-
-        A denied read fails as NotFound before the range is looked at, so a
-        range past the end of someone else's document cannot tell it apart
-        from a missing one.
-        """
+        """Lookup, then authorize, then the range: a denied read fails as
+        NotFound before the range is looked at, so a range past the end of
+        someone else's document reads as a missing one."""
         record, proof = self._authorized_record(principal, doc_id, Action.READ)
-        byte_range = delivery.parse_range_header(range_header, record.size_bytes)
-        return delivery.stream_document(record, self.vault_fd, proof, byte_range)
+        return delivery.stream_document(record, self.vault_fd, proof, range_header)
 
     def list_documents(self, principal: Principal, cursor: str | None = None):
         if principal.role is Role.ADMIN:
@@ -310,51 +307,59 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
         return True
 
     def _serve(self):
-        """Answer one request: framing, route, error table, reply."""
+        """Answer one request: framing, route, error table, then the one writer."""
         length, close = None, False
         try:
             length = self._framing()
-            reply = self._route(length)
+            status, body = self._route(length)
         except (VaultError, OSError) as exc:
             for cls in type(exc).__mro__:  # the most specific entry
                 if cls in _ERRORS:
                     break
             status, message, close = _ERRORS[cls]
-            reply = status, {"error": message}
-        if isinstance(reply, delivery.StreamResult):
-            status, headers = reply.status, reply.headers
-            chunks = reply.chunks() if reply.length <= delivery.CHUNK_SIZE else None
+            body = {"error": message}
+        try:
+            # A body left unread would be parsed as the next request: GET and
+            # DELETE never read one, and an upload reads it only when it succeeds.
+            self._write(status, body, close or (
+                status != 201 if self.command == "POST" else length))
+        finally:
+            if isinstance(body, delivery.StreamResult):
+                body.close()  # a body sent, cut short, or never started
+
+    def send_error(self, code, message=None, explain=None):
+        """http.server's own refusals (400, 414, 431, 501, 505) leave by the
+        one writer too, never as its HTML page, which can quote the request."""
+        self.request_version = self.protocol_version  # still HTTP/0.9 before a 505: no status line
+        self._write(code, {"error": HTTPStatus(code).phrase.lower()}, close=True)
+
+    def _write(self, status: int, body, close: bool) -> None:
+        """Write one reply: status line, headers, then the body: a JSON value,
+        bytes, or a StreamResult with headers of its own, which goes by
+        sendfile after the headers when it is more than one chunk."""
+        if isinstance(body, delivery.StreamResult):
+            headers = body.headers
         else:
-            status, body = reply
             if not isinstance(body, bytes):
                 body = json.dumps(body).encode("utf-8")
-            headers = [
-                ("Server", self.version_string()),
-                ("Date", self.date_time_string()),
-                ("Content-Type", "application/json"),
-                ("Content-Length", str(len(body))),
-            ]
-            chunks = (body,)
+            headers = [("Server", self.version_string()), ("Date", self.date_time_string()),
+                       ("Content-Type", "application/json"), ("Content-Length", str(len(body)))]
         try:
             self.send_response_only(status)
             for name, value in headers:
                 self.send_header(name, value)
-            # A body left unread would be parsed as the next request: GET and
-            # DELETE never read one, and an upload reads it only when it succeeds.
-            if close or (status != 201 if self.command == "POST" else length):
+            if close:
                 self.send_header("Connection", "close")  # sets close_connection
             self.end_headers()
-            if chunks is None:  # the headers leave first
+            if isinstance(body, bytes):
+                self.wfile.write(body)
+            elif body.length <= delivery.CHUNK_SIZE:
+                self.wfile.write(b"".join(body.chunks()))  # one chunk at most
+            else:  # the headers leave first
                 self.wfile.flush()
-                reply.sendfile(self.connection.fileno())
-            else:
-                for chunk in chunks:
-                    self.wfile.write(chunk)
+                body.sendfile(self.connection)
         except BlobMissing:
             self.close_connection = True
-        finally:
-            if isinstance(reply, delivery.StreamResult):
-                reply.close()  # a body cut short, or never started
 
     do_GET = do_POST = do_DELETE = _serve
 
@@ -382,7 +387,8 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
 
     def _route(self, length: int | None):
         """Check the path, match the route, authenticate once, then make the
-        one VaultCore call.  Returns (status, payload) or a StreamResult."""
+        one VaultCore call.  Returns the status and the body: a JSON value,
+        bytes, or a StreamResult."""
         if _has_traversal(self.path):
             raise InvalidPath()
         url = urlsplit(self.path)
@@ -414,7 +420,8 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
             core.delete_document(principal, doc_id)
             return 200, {"deleted": doc_id}
         if doc_id is not None:
-            return core.download(principal, doc_id, self.headers.get("Range"))
+            result = core.download(principal, doc_id, self.headers.get("Range"))
+            return result.status, result
         cursor = (parse_qs(url.query).get("cursor") or [None])[0]
         return 200, list_body(*core.list_documents(principal, cursor))
 

@@ -9,6 +9,7 @@ from docvault.access import (
     authorize,
     parse_bearer,
 )
+from docvault.errors import InvalidInput
 from docvault.journal import JournalStore
 
 from test_metadata import make_record
@@ -62,6 +63,20 @@ class TestAuthenticate:
         with JournalStore(path) as j:
             principal = TokenStore(j).authenticate(plaintext)
         assert principal == Principal("bob", Role.ADMIN)
+
+
+    def test_empty_username_is_refused_before_it_is_stored(self, tokens, tmp_path):
+        with pytest.raises(InvalidInput):
+            Principal("", Role.USER)
+        with pytest.raises(InvalidInput):
+            tokens.create_token("")
+        assert b"token:" not in (tmp_path / "store.journal").read_bytes()
+
+    def test_stored_empty_username_does_not_authenticate(self, tokens):
+        token_id, plaintext = tokens.create_token("alice")
+        entry = tokens._journal.get("token:" + token_id)
+        tokens._journal.put("token:" + token_id, {**entry, "username": ""})
+        assert tokens.authenticate(plaintext) is None
 
 
 class TestAuthorize:

@@ -242,6 +242,20 @@ class TestToken:
         assert main(["token", "revoke", token_id]) == 1
 
 
+    def test_empty_username_is_one_error_line(self, env, capsys, tmp_path):
+        main(["init"])
+        source = tmp_path / "a.txt"
+        source.write_bytes(b"text")
+        capsys.readouterr()
+        for argv in (["token", "create", ""], ["ingest", str(source), "--owner", ""]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("error: ")
+        assert b"token:" not in (env / "store.journal").read_bytes()
+
+
 class TestFsck:
     def _ingest(self, env, tmp_path, capsys, content=b"%PDF data"):
         capsys.readouterr()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import socket
@@ -125,7 +126,7 @@ class TestStreaming:
     def test_range(self, tmp_path):
         content = b"01234"
         record, vault, proof = stored(tmp_path, content)
-        result = stream_document(record, vault, proof, byte_range=(1, 3))
+        result = stream_document(record, vault, proof, "bytes=1-3")
         body = b"".join(result.chunks())
         assert result.status == 206
         # oracle: independent slice of the source bytes
@@ -135,14 +136,25 @@ class TestStreaming:
 
     def test_range_end_clipped(self, tmp_path):
         record, vault, proof = stored(tmp_path, b"01234")
-        result = stream_document(record, vault, proof, byte_range=(3, 99))
+        result = stream_document(record, vault, proof, "bytes=3-99")
         assert b"".join(result.chunks()) == b"34"
         assert dict(result.headers)["Content-Range"] == "bytes 3-4/5"
 
     def test_range_past_end(self, tmp_path):
         record, vault, proof = stored(tmp_path, b"01234")
         with pytest.raises(RangeNotSatisfiable):
-            stream_document(record, vault, proof, byte_range=(5, 9))
+            stream_document(record, vault, proof, "bytes=5-9")
+
+    def test_range_is_decided_against_the_open_blob(self, tmp_path):
+        record, vault, proof = stored(tmp_path, b"0123456789")
+        record = dataclasses.replace(record, size_bytes=5)  # a stale size
+        result = stream_document(record, vault, proof, "bytes=7-")
+        assert result.status == 206
+        assert dict(result.headers)["Content-Range"] == "bytes 7-9/10"
+        assert b"".join(result.chunks()) == b"789"
+        result.close()
+        with pytest.raises(RangeNotSatisfiable):
+            stream_document(record, vault, proof, "bytes=10-")
 
     def test_blob_missing(self, tmp_path):
         record, vault, proof = stored(tmp_path, b"data")
@@ -257,7 +269,7 @@ def sent_over_socketpair(result) -> bytes:
     reader = threading.Thread(target=read, daemon=True)
     reader.start()
     try:
-        result.sendfile(ours.fileno())
+        result.sendfile(ours)
     finally:
         ours.close()
         reader.join(timeout=5)
@@ -280,11 +292,14 @@ class TestSendfile:
         result = stream_document(record, vault, proof)
         fd = result._fd
         assert sent_over_socketpair(result) == self.content
+        os.fstat(fd)  # the holder closes it, once
+        result.close()
         assert_closed(fd)
+        result.close()
 
     def test_range_at_an_offset(self, tmp_path):
         record, vault, proof = stored(tmp_path, self.content)
-        result = stream_document(record, vault, proof, byte_range=(70000, 1500000))
+        result = stream_document(record, vault, proof, "bytes=70000-1500000")
         assert result.offset == 70000 and result.length == 1430001
         assert sent_over_socketpair(result) == self.content[70000:1500001]
 
@@ -295,6 +310,7 @@ class TestSendfile:
         os.truncate(tmp_path / "vault" / record.opaque_name.render(), CHUNK_SIZE + 10)
         with pytest.raises(BlobMissing):
             sent_over_socketpair(result)
+        result.close()
         assert_closed(fd)
 
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -5,6 +6,7 @@ import random
 import sys
 import tempfile
 import threading
+import weakref
 import zlib
 from pathlib import Path
 from unittest import mock
@@ -445,6 +447,26 @@ class TestJournalHook:
                 assert store.list_all() == ([records[0], records[2], records[3]], None)
                 assert store.list_by_owner("o1") == ([records[3]], None)
                 assert not store.name_taken(records[1].opaque_name.render())
+
+
+    def test_put_after_close_raises_storage_failure(self, tmp_path):
+        journal = JournalStore(tmp_path / "store.journal")
+        journal.close()
+        with pytest.raises(StorageFailure, match="closed"):
+            journal.put("k", {"v": 1})
+        assert journal.get("k") is None
+
+    def test_closed_journal_is_freed_by_refcount(self, tmp_path):
+        gc.disable()
+        try:
+            journal = JournalStore(tmp_path / "store.journal")
+            MetadataStore(journal)
+            journal.close()
+            ref = weakref.ref(journal)
+            del journal
+            assert ref() is None  # no cycle left for the collector
+        finally:
+            gc.enable()
 
 
 class TestRecordMap:

@@ -620,6 +620,59 @@ class TestFraming:
         assert svc.core.records.list_all()[0] == []
 
 
+class TestHttpServerRefusals:
+    """Requests that http.server refuses before any verb runs get the same
+    kind of reply as every other refusal: a status line, a JSON body and a
+    close.  The connection after them is served as usual."""
+
+    @pytest.mark.parametrize("request_bytes,status", [
+        (b"GARBAGE\r\n\r\n", b"400 Bad Request"),
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: x\r\n\r\n", b"414 Request-URI Too Long"),
+        (b"GET /healthz HTTP/1.1\r\n" + b"".join(b"X-%d: y\r\n" % i for i in range(101))
+         + b"\r\n", b"431 Request Header Fields Too Large"),
+        (b"PUT /documents HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n",
+         b"501 Not Implemented"),
+        (b"GET /healthz HTTP/2.0\r\nHost: x\r\n\r\n", b"505 HTTP Version Not Supported"),
+    ], ids=["bad-request-line", "long-request-line", "101-fields", "put", "http-2"])
+    def test_json_reply_then_close(self, svc, request_bytes, status):
+        raw = raw_exchange(svc, request_bytes)
+        head, _, body = raw.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        assert lines[0] == b"HTTP/1.1 " + status
+        headers = dict(line.split(b": ", 1) for line in lines[1:])
+        assert headers[b"Content-Type"] == b"application/json"
+        assert headers[b"Connection"] == b"close"
+        assert json.loads(body) == {"error": status.split(b" ", 1)[1].decode().lower()}
+        assert b"<html" not in raw.lower()
+        assert requests.get(f"{svc.base_url}/healthz").json() == {"status": "ok"}
+
+
+class TestTableReplies:
+    """Failures that once dropped the connection get their row of the table."""
+
+    def test_stored_empty_username_is_unauthenticated(self, svc):
+        token_id, plaintext = svc.core.tokens.create_token("alice")
+        entry = svc.journal.get("token:" + token_id)
+        svc.journal.put("token:" + token_id, {**entry, "username": ""})
+        got = requests.get(f"{svc.base_url}/documents", headers=auth(plaintext))
+        assert got.status_code == 401
+        assert got.json() == {"error": "authentication required"}
+
+    def test_write_after_stop_is_a_500(self, svc, user_token):
+        doc = upload(svc, user_token, "a.txt", b"plain text").json()
+        with socket.create_connection(svc.address, timeout=3) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")
+            svc.stop()  # the open connection outlives the store
+            sock.sendall((f"DELETE /documents/{doc['doc_id']} HTTP/1.1\r\nHost: x\r\n"
+                          f"Authorization: Bearer {user_token}\r\n\r\n").encode())
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        assert raw.startswith(b"HTTP/1.1 500 ")
+        assert raw.endswith(b'{"error": "internal error"}')
+
+
 class TestUploadFailures:
     """Only a short body is the client's fault.  A failing disk or store is
     a 500 that closes the connection, and no reply carries exception text,
