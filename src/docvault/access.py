@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .errors import InvalidInput
 from .journal import JournalStore
 from .metadata import DocumentRecord
+from .naming import check_username
 
 _TOKEN_PREFIX = "token:"
 _GUARD = object()  # module-private; makes AccessProof unforgeable from outside
@@ -39,8 +40,7 @@ class Principal:
     role: Role
 
     def __post_init__(self):
-        if not self.username:
-            raise InvalidInput("username must be non-empty")
+        check_username(self.username)
 
 
 @dataclass(frozen=True, init=False)

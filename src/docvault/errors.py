@@ -27,7 +27,7 @@ class IoFailure(VaultError):
 
 
 class ArtifactConflict(VaultError):
-    """A protection artifact already exists with different content."""
+    """A protection artifact's path holds other bytes, a link or no file."""
 
     def __init__(self, path):
         super().__init__(

@@ -36,6 +36,7 @@ class DocumentRecord:
     media_type: str
     size_bytes: int
     upload_timestamp: int
+    slot: int  # the timestamp the name derives from; upload_timestamp in older journals
     opaque_name: OpaqueName
     checksum: str  # lowercase hex sha256 of blob content
 
@@ -55,6 +56,7 @@ class DocumentRecord:
             media_type=d["media_type"],
             size_bytes=d["size_bytes"],
             upload_timestamp=d["upload_timestamp"],
+            slot=d.get("slot", d["upload_timestamp"]),
             opaque_name=OpaqueName.parse(d["opaque_name"]),
             checksum=d["checksum"],
         )
@@ -107,9 +109,9 @@ class MetadataStore:
                 names[rendered] = v["doc_id"]
                 keys.append((ts, v["doc_id"]))
                 owners.setdefault(owner, []).append(keys[-1])
-                slot = (owner, rendered.partition(".")[2])
-                if slots.get(slot, -1) < ts:
-                    slots[slot] = ts
+                owner_ext, slot = (owner, rendered.partition(".")[2]), v.get("slot", ts)
+                if slots.get(owner_ext, -1) < slot:
+                    slots[owner_ext] = slot
         keys.sort()
         for owned in owners.values():
             owned.sort()
@@ -134,9 +136,9 @@ class MetadataStore:
             self._by_name[rendered] = new["doc_id"]
             insort(self._keys, (ts, new["doc_id"]))
             insort(self._keys_by_owner.setdefault(owner, []), (ts, new["doc_id"]))
-            slot = (owner, rendered.partition(".")[2])
-            if self._slots.get(slot, -1) < ts:
-                self._slots[slot] = ts
+            owner_ext, slot = (owner, rendered.partition(".")[2]), new.get("slot", ts)
+            if self._slots.get(owner_ext, -1) < slot:
+                self._slots[owner_ext] = slot
 
     def put_record(self, record: DocumentRecord) -> str:
         rendered = record.opaque_name.render()
@@ -171,7 +173,7 @@ class MetadataStore:
         return rendered in self._by_name
 
     def last_slot(self, owner: str, extension: str) -> int:
-        """The newest timestamp of (owner, extension) live at start or put since, or -1."""
+        """The newest slot of (owner, extension) live at start or put since, or -1."""
         return self._slots.get((owner, extension), -1)
 
     def list_by_owner(
@@ -213,14 +215,13 @@ class MetadataStore:
 
 @dataclass(frozen=True)
 class ConsistencyIssue:
-    kind: str  # dangling-record, orphan-blob, upload-temp, size-mismatch, checksum-mismatch
+    kind: str  # dangling-record, orphan-blob, size-mismatch, checksum-mismatch
     doc_id: str | None
     path: str
     detail: str
 
 
 _PROTECTION_FILES = {DENY_CONFIG_NAME, INDEX_PLACEHOLDER_NAME}
-UPLOAD_TEMP_PREFIX = ".upload-"  # an upload's name in the vault until its rename
 
 
 def check_consistency(store: MetadataStore, vault_dir: str | Path) -> list[ConsistencyIssue]:
@@ -230,8 +231,8 @@ def check_consistency(store: MetadataStore, vault_dir: str | Path) -> list[Consi
     reached as a download reaches it: by ``open_blob`` under one fd of the
     vault directory, so a symlink under a record's name is a dangling
     record.  Every other entry that is not a directory or a protection
-    file, symlinks included, is an orphan blob, or a leftover upload temp
-    when it carries the temp prefix.
+    file, symlinks included, is an orphan blob: an upload cut short leaves
+    one.
     """
     vault = Path(vault_dir)
     issues: list[ConsistencyIssue] = []
@@ -275,9 +276,7 @@ def check_consistency(store: MetadataStore, vault_dir: str | Path) -> list[Consi
     finally:
         os.close(vault_fd)
     issues.extend(
-        ConsistencyIssue("upload-temp", None, str(vault / name), "upload never finished")
-        if name.startswith(UPLOAD_TEMP_PREFIX)
-        else ConsistencyIssue("orphan-blob", None, str(vault / name), "no record for blob")
+        ConsistencyIssue("orphan-blob", None, str(vault / name), "no record for blob")
         for name in strays
     )
     return issues

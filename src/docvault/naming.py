@@ -63,6 +63,14 @@ class SecretKey:
         return cls(data, source=f"file:{path}")
 
 
+def check_username(username: str) -> None:
+    """The one username rule, for a token and a derivation alike: not empty, no NUL."""
+    if not username:
+        raise InvalidInput("username must be non-empty")
+    if "\x00" in username:
+        raise InvalidInput("username must not contain NUL")
+
+
 @dataclass(frozen=True)
 class NameInputs:
     """The public operands of a derivation: who uploaded, when, and the extension.
@@ -76,10 +84,7 @@ class NameInputs:
     extension: str
 
     def __post_init__(self):
-        if not self.username:
-            raise InvalidInput("username must be non-empty")
-        if "\x00" in self.username:
-            raise InvalidInput("username must not contain NUL")
+        check_username(self.username)
         if not isinstance(self.upload_timestamp, int) or isinstance(self.upload_timestamp, bool):
             raise InvalidInput("upload_timestamp must be an integer")
         if self.upload_timestamp < 0:

@@ -24,6 +24,7 @@ import errno
 import html
 import os
 import stat
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import PurePosixPath, Path
 
@@ -158,8 +159,9 @@ def materialize_layout(layout: VaultLayout) -> MaterializeResult:
     """Create the vault directory and write every protection artifact.
 
     Idempotent: a second run over a compliant layout changes nothing and
-    reports already_compliant.  A foreign file at an artifact path is never
-    overwritten.
+    reports already_compliant.  Each artifact is created exclusively, and an
+    entry already at its path is read without following a link: anything
+    but a regular file of the same bytes is left as it is and refused.
     """
     created: list[str] = []
     vault = Path(layout.vault_dir)
@@ -173,14 +175,17 @@ def materialize_layout(layout: VaultLayout) -> MaterializeResult:
 
     for rel, content in layout.artifacts:
         target = Path(layout.webroot) / rel
-        try:
-            if target.exists():
-                if target.read_bytes() == content:
-                    continue
-                raise ArtifactConflict(target)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(content)
-            created.append(str(target))
+        try:  # in the vault directory made above
+            with suppress(FileExistsError), open(target, "xb") as fh:
+                fh.write(content)
+                created.append(str(target))
+                continue
+            fd, _ = open_blob(None, str(target))
+            with open(fd, "rb") as fh:
+                if fh.read() != content:
+                    raise ArtifactConflict(target)
+        except BlobMissing:  # a symlink, a FIFO, a directory
+            raise ArtifactConflict(target) from None
         except OSError as e:
             raise IoFailure(target, e)
 
@@ -242,12 +247,14 @@ def open_vault_dir(path: str | Path) -> int:
         raise StorageFailure(f"cannot open vault directory {path}: {e.strerror}") from None
 
 
-def open_blob(vault_fd: int, name: str) -> tuple[int, int]:
+def open_blob(vault_fd: int | None, name: str) -> tuple[int, int]:
     """Open one blob relative to the held vault directory: (fd, size).
 
     A storage name has no ``/``, and O_NOFOLLOW refuses a symlink planted
     under it, so the open cannot leave the vault.  A missing name, a symlink
     or anything but a regular file raises BlobMissing, with no fd left open.
+    With no directory fd, ``name`` is a path whose last component is not
+    followed: a protection file is read that way.
     """
     try:
         fd = os.open(name, _BLOB_FLAGS, dir_fd=vault_fd)

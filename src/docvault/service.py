@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import re
-import secrets
 import sys
 import threading
 import time
@@ -42,7 +41,7 @@ from .errors import (
     VaultError,
 )
 from .journal import JournalStore
-from .metadata import UPLOAD_TEMP_PREFIX, DocumentRecord, MetadataStore, new_doc_id
+from .metadata import DocumentRecord, MetadataStore, new_doc_id
 from .naming import NameInputs, SecretKey, derive_opaque_name
 from .placement import materialize_layout, open_vault_dir
 
@@ -91,14 +90,15 @@ class VaultCore:
         content_length: int,
         now: int | None = None,
     ) -> DocumentRecord:
-        """Store one document: atomic blob write, then the metadata record.
+        """Store one document: the blob under the name it claims, then its record.
 
-        The blob lands under a temp name and is renamed into place only when
-        fully written, so a failed upload leaves nothing addressable.  A
-        same-user same-second name collision retries with the timestamp
-        bumped by one.  The filename is stored NFC-normalized; one that is
-        empty, longer than 255 UTF-8 bytes, or holds a control, ``/`` or
-        ``\\`` is refused, never repaired.
+        The blob is created under its name with O_EXCL, which fails, across
+        processes too, on any entry there; a burst of one (owner, extension)
+        takes the slots past the newest in the store, and ``upload_timestamp``
+        stays ``now``.  Only the record, put after the blob's fsync, makes the
+        blob readable: a failed upload unlinks it, and a crash leaves an orphan
+        for fsck.  The filename is stored NFC; one that is empty, longer than
+        255 UTF-8 bytes, or holds a control, ``/`` or ``\\`` is refused.
         """
         if content_length > self.config.max_upload_bytes:
             raise TooLarge(
@@ -108,17 +108,24 @@ class VaultCore:
         if not filename or _FILENAME_FORBIDDEN.search(filename) or len(filename.encode()) > 255:
             raise InvalidFilename()
         ext = extension_for(filename)
-        base_ts = int(time.time()) if now is None else now
+        now = int(time.time()) if now is None else now
 
-        sha = hashlib.sha256()
-        head = b""
-        tmp_name = UPLOAD_TEMP_PREFIX + secrets.token_hex(8)
-        fd = os.open(
-            tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o600,
-            dir_fd=self.vault_fd,
-        )
+        start = max(now, self.records.last_slot(principal.username, ext) + 1)
+        for slot in range(start, start + MAX_NAME_RETRIES):
+            name = derive_opaque_name(NameInputs(principal.username, slot, ext), self.key)
+            if not self.records.name_taken(name.render()):
+                with suppress(FileExistsError):  # a symlink or a FIFO there too
+                    fd = os.open(name.render(), os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                                 | os.O_CLOEXEC, 0o600, dir_fd=self.vault_fd)
+                    break
+        else:
+            raise DuplicateOpaqueName(
+                f"no free storage name for {principal.username!r} near t={now}"
+            )
         try:
-            with os.fdopen(fd, "wb") as tmp:
+            sha = hashlib.sha256()
+            head = b""
+            with os.fdopen(fd, "wb") as blob:
                 remaining = content_length
                 while remaining > 0:
                     chunk = content.read(min(delivery.CHUNK_SIZE, remaining))
@@ -127,54 +134,26 @@ class VaultCore:
                     if len(head) < 512:
                         head += chunk[: 512 - len(head)]
                     sha.update(chunk)
-                    tmp.write(chunk)
+                    blob.write(chunk)
                     remaining -= len(chunk)
-                tmp.flush()
-                os.fsync(tmp.fileno())
-
-            media_type = delivery.detect_media_type(filename, head)
-            with self.journal.lock:
-                # a burst of same-second uploads claims ts, ts+1, ... without retrying
-                start_ts = max(base_ts, self.records.last_slot(principal.username, ext) + 1)
-                for attempt in range(MAX_NAME_RETRIES):
-                    ts = start_ts + attempt
-                    name = derive_opaque_name(
-                        NameInputs(principal.username, ts, ext), self.key
-                    )
-                    rendered = name.render()
-                    if self.records.name_taken(rendered) or os.access(
-                        rendered, os.F_OK, dir_fd=self.vault_fd, follow_symlinks=False
-                    ):
-                        continue
-                    record = DocumentRecord(
-                        doc_id=new_doc_id(),
-                        owner=principal.username,
-                        original_filename=filename,
-                        media_type=media_type,
-                        size_bytes=content_length,
-                        upload_timestamp=ts,
-                        opaque_name=name,
-                        checksum=sha.hexdigest(),
-                    )
-                    os.replace(
-                        tmp_name, rendered, src_dir_fd=self.vault_fd, dst_dir_fd=self.vault_fd
-                    )
-                    tmp_name = None
-                    try:
-                        self.records.put_record(record)
-                    except Exception:
-                        self._unlink(rendered)
-                        raise
-                    break
-                else:
-                    raise DuplicateOpaqueName(
-                        f"no free storage name for {principal.username!r} "
-                        f"near t={base_ts}"
-                    )
-            return record
-        finally:
-            if tmp_name is not None:
-                self._unlink(tmp_name)
+                blob.flush()
+                os.fsync(blob.fileno())
+            record = DocumentRecord(
+                doc_id=new_doc_id(),
+                owner=principal.username,
+                original_filename=filename,
+                media_type=delivery.detect_media_type(filename, head),
+                size_bytes=content_length,
+                upload_timestamp=now,
+                slot=slot,
+                opaque_name=name,
+                checksum=sha.hexdigest(),
+            )
+            self.records.put_record(record)
+        except BaseException:
+            self._unlink(name.render())
+            raise
+        return record
 
     def _unlink(self, name: str) -> None:
         with suppress(FileNotFoundError):
@@ -223,6 +202,10 @@ def _has_traversal(path: str) -> bool:
     return any(seg in ("..", ".") for seg in decoded.split("/") if seg != "")
 
 
+class BadRequest(VaultError):
+    """HTTP/0.9, a header line the parser could not take, a folded one, or not one Host."""
+
+
 class BadFraming(VaultError):
     """A Transfer-Encoding, or more than one Content-Length."""
 
@@ -252,6 +235,7 @@ class FilenameRequired(VaultError):
 # can name a vault path.  Denied and missing documents both raise NotFound,
 # so their replies are the same bytes.
 _ERRORS: dict[type, tuple[int, str, bool]] = {
+    BadRequest: (400, "bad request", True),
     BadFraming: (400, "invalid framing", True),
     NegativeLength: (400, "negative Content-Length", True),
     LengthRequired: (411, "length required", True),
@@ -330,7 +314,6 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
     def send_error(self, code, message=None, explain=None):
         """http.server's own refusals (400, 414, 431, 501, 505) leave by the
         one writer too, never as its HTML page, which can quote the request."""
-        self.request_version = self.protocol_version  # still HTTP/0.9 before a 505: no status line
         self._write(code, {"error": HTTPStatus(code).phrase.lower()}, close=True)
 
     def _write(self, status: int, body, close: bool) -> None:
@@ -345,6 +328,7 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
             headers = [("Server", self.version_string()), ("Date", self.date_time_string()),
                        ("Content-Type", "application/json"), ("Content-Length", str(len(body)))]
         try:
+            self.request_version = self.protocol_version  # HTTP/0.9 would get no status line
             self.send_response_only(status)
             for name, value in headers:
                 self.send_header(name, value)
@@ -368,8 +352,13 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
 
         The vault takes no chunked bodies, and a second Content-Length could
         be the one a proxy in front used: either is refused, so that the
-        vault and the proxy never see different request boundaries.
+        vault and the proxy never see different request boundaries.  So is a
+        head that a proxy could read otherwise (RFC 9112 sections 3.2 and 5).
         """
+        if (self.request_version == "HTTP/0.9" or self.headers.defects
+                or len(self.headers.get_all("Host", ())) != 1
+                or any("\n" in value for value in self.headers.values())):
+            raise BadRequest()
         lengths = self.headers.get_all("Content-Length", ())
         if "Transfer-Encoding" in self.headers or len(lengths) > 1:
             raise BadFraming()

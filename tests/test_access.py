@@ -66,10 +66,11 @@ class TestAuthenticate:
 
 
     def test_empty_username_is_refused_before_it_is_stored(self, tokens, tmp_path):
-        with pytest.raises(InvalidInput):
-            Principal("", Role.USER)
-        with pytest.raises(InvalidInput):
-            tokens.create_token("")
+        for username in ("", "a\x00b"):
+            with pytest.raises(InvalidInput):
+                Principal(username, Role.USER)
+            with pytest.raises(InvalidInput):
+                tokens.create_token(username)
         assert b"token:" not in (tmp_path / "store.journal").read_bytes()
 
     def test_stored_empty_username_does_not_authenticate(self, tokens):

@@ -37,6 +37,7 @@ def _record(i: int, owner: str) -> DocumentRecord:
         media_type="application/pdf",
         size_bytes=1,
         upload_timestamp=1_000_000 + i,
+        slot=1_000_000 + i,
         opaque_name=OpaqueName(hashlib.md5(b"%d" % i).hexdigest(), "pdf"),
         checksum="0" * 64,
     )
@@ -247,7 +248,8 @@ class TestToken:
         source = tmp_path / "a.txt"
         source.write_bytes(b"text")
         capsys.readouterr()
-        for argv in (["token", "create", ""], ["ingest", str(source), "--owner", ""]):
+        for argv in (["token", "create", ""], ["ingest", str(source), "--owner", ""],
+                     ["token", "create", "a\x00b"], ["ingest", str(source), "--owner", "a\x00b"]):
             assert main(argv) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -324,15 +326,6 @@ class TestFsck:
         monkeypatch.delenv("VAULT_KEY_FILE")
         assert main(["fsck"]) == 0
         assert capsys.readouterr().out == "clean\n"
-
-    def test_leftover_upload_temp_reported(self, env, capsys, tmp_path):
-        main(["init"])
-        self._ingest(env, tmp_path, capsys)
-        temp = env / "webroot" / "docs" / ".upload-0123456789abcdef"
-        temp.write_bytes(b"%PDF par")
-        assert main(["fsck"]) == 1
-        out = capsys.readouterr().out
-        assert f"upload-temp: - {temp} (" in out and "orphan-blob" not in out
 
     def test_missing_vault_dir(self, env, capsys):
         assert main(["fsck"]) == 2

@@ -41,6 +41,7 @@ def make_record(i: int = 0, owner: str = "alice", **kw) -> DocumentRecord:
         checksum=hashlib.sha256(b"x" * 10).hexdigest(),
     )
     defaults.update(kw)
+    defaults.setdefault("slot", defaults["upload_timestamp"])
     return DocumentRecord(**defaults)
 
 

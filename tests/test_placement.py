@@ -154,6 +154,24 @@ class TestMaterialize:
             materialize_layout(layout)
         assert target.read_bytes() == b"someone else's index"
 
+    @pytest.mark.parametrize("entry", ["dangling-symlink", "symlink-to-same-bytes", "directory"])
+    def test_anything_but_a_file_of_the_same_bytes_is_a_conflict(self, tmp_path, entry):
+        """An existing entry is read without following a link, so a symlink
+        never leads the write, or the compliance check, outside the vault."""
+        layout = _tmp_layout(tmp_path, PlacementPolicy.DENIED_SUBDIR)
+        target = Path(layout.webroot) / "docs" / ".htaccess"
+        target.parent.mkdir(parents=True)
+        outside = tmp_path / "outside"
+        if entry == "directory":
+            target.mkdir()
+        else:
+            if entry == "symlink-to-same-bytes":
+                outside.write_bytes(emit_deny_config())
+            target.symlink_to(outside)
+        with pytest.raises(ArtifactConflict):
+            materialize_layout(layout)
+        assert outside.exists() == (entry == "symlink-to-same-bytes")
+
     def test_restrictive_permissions(self, tmp_path):
         layout = _tmp_layout(tmp_path, PlacementPolicy.DENIED_SUBDIR)
         materialize_layout(layout)

@@ -4,10 +4,12 @@ import io
 import json
 import os
 import socket
+import stat
 import struct
 import threading
 import time
 import unicodedata
+from contextlib import suppress
 from urllib.parse import unquote
 
 import pytest
@@ -18,7 +20,8 @@ from hypothesis import strategies as st
 from docvault import delivery, service
 from docvault.access import Principal, Role
 from docvault.errors import StorageFailure
-from docvault.journal import JournalStore
+from docvault.journal import JournalStore, ReadOnlyJournal
+from docvault.metadata import MetadataStore, check_consistency
 from docvault.naming import NameInputs, derive_opaque_name
 from docvault.service import VaultCore, VaultRequestHandler, extension_for
 
@@ -288,7 +291,8 @@ class TestRecordMap:
     def test_deleted_record_is_gone_everywhere(self, svc, user_token, admin_token):
         """A record read into the map, by a listing and a download, leaves it
         when the delete returns."""
-        docs = [upload(svc, user_token, f"{i}.pdf", b"data").json() for i in range(3)]
+        docs = sorted((upload(svc, user_token, f"{i}.pdf", b"data").json() for i in range(3)),
+                      key=lambda d: (d["upload_timestamp"], d["doc_id"]))
         gone = docs[1]["doc_id"]
         url = f"{svc.base_url}/documents/{gone}"
         assert requests.get(url, headers=auth(user_token)).status_code == 200
@@ -305,7 +309,9 @@ class TestRecordMap:
 class TestListCursor:
     def test_stale_and_foreign_cursors_get_one_identical_reply(self, svc, user_token,
                                                                admin_token):
-        mine = [upload(svc, user_token, f"{i}.pdf", b"x").json() for i in range(3)]
+        order = lambda d: (d["upload_timestamp"], d["doc_id"])  # noqa: E731
+        mine = sorted((upload(svc, user_token, f"{i}.pdf", b"x").json() for i in range(3)),
+                      key=order)
         _, bob = svc.core.tokens.create_token("bob", Role.USER)
         theirs = upload(svc, bob, "b.pdf", b"y").json()
 
@@ -313,10 +319,9 @@ class TestListCursor:
             return requests.get(f"{svc.base_url}/documents", params={"cursor": cursor},
                                 headers=auth(token)).json()
 
-        # each upload of one owner and extension takes a later second
         assert page(user_token, mine[0]["doc_id"]) == {"documents": mine[1:], "next_cursor": None}
         # an admin's cursor may name any live record
-        everyone = sorted(mine + [theirs], key=lambda d: (d["upload_timestamp"], d["doc_id"]))
+        everyone = sorted(mine + [theirs], key=order)
         assert page(admin_token, everyone[0]["doc_id"]) == {"documents": everyone[1:],
                                                             "next_cursor": None}
         requests.delete(f"{svc.base_url}/documents/{mine[0]['doc_id']}", headers=auth(user_token))
@@ -607,7 +612,9 @@ class TestFraming:
     @pytest.mark.parametrize("framing,body", [
         ("Content-Length: 3\r\nContent-Length: 40", b"abc"),
         ("Transfer-Encoding: chunked\r\nContent-Length: 15", b"5\r\nhello\r\n0\r\n\r\n"),
-    ], ids=["two-lengths", "chunked-and-length"])
+        ("Content-Length: 3\r\nContent-Length : 40", b"abc"),
+        ("X-Note: a\r\n Transfer-Encoding: chunked\r\nContent-Length: 3", b"abc"),
+    ], ids=["two-lengths", "chunked-and-length", "space-before-colon", "obs-fold"])
     def test_one_reply_then_close(self, svc, user_token, framing, body):
         raw = raw_exchange(svc, (
             "POST /documents?filename=a.txt HTTP/1.1\r\nHost: x\r\n"
@@ -621,9 +628,10 @@ class TestFraming:
 
 
 class TestHttpServerRefusals:
-    """Requests that http.server refuses before any verb runs get the same
-    kind of reply as every other refusal: a status line, a JSON body and a
-    close.  The connection after them is served as usual."""
+    """Requests refused before any route runs, by http.server or by the
+    request head's own checks, get the same kind of reply as every other
+    refusal: a status line, a JSON body and a close.  The connection after
+    them is served as usual."""
 
     @pytest.mark.parametrize("request_bytes,status", [
         (b"GARBAGE\r\n\r\n", b"400 Bad Request"),
@@ -633,7 +641,11 @@ class TestHttpServerRefusals:
         (b"PUT /documents HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n",
          b"501 Not Implemented"),
         (b"GET /healthz HTTP/2.0\r\nHost: x\r\n\r\n", b"505 HTTP Version Not Supported"),
-    ], ids=["bad-request-line", "long-request-line", "101-fields", "put", "http-2"])
+        (b"GET /healthz\r\n\r\n", b"400 Bad Request"),
+        (b"GET /healthz HTTP/1.1\r\n\r\n", b"400 Bad Request"),
+        (b"GET /healthz HTTP/1.1\r\nHost: x\r\nHost: y\r\n\r\n", b"400 Bad Request"),
+    ], ids=["bad-request-line", "long-request-line", "101-fields", "put", "http-2",
+            "http-0.9", "no-host", "two-hosts"])
     def test_json_reply_then_close(self, svc, request_bytes, status):
         raw = raw_exchange(svc, request_bytes)
         head, _, body = raw.partition(b"\r\n\r\n")
@@ -651,12 +663,13 @@ class TestTableReplies:
     """Failures that once dropped the connection get their row of the table."""
 
     def test_stored_empty_username_is_unauthenticated(self, svc):
-        token_id, plaintext = svc.core.tokens.create_token("alice")
-        entry = svc.journal.get("token:" + token_id)
-        svc.journal.put("token:" + token_id, {**entry, "username": ""})
-        got = requests.get(f"{svc.base_url}/documents", headers=auth(plaintext))
-        assert got.status_code == 401
-        assert got.json() == {"error": "authentication required"}
+        for username in ("", "a\x00b"):
+            token_id, plaintext = svc.core.tokens.create_token("alice")
+            entry = svc.journal.get("token:" + token_id)
+            svc.journal.put("token:" + token_id, {**entry, "username": username})
+            got = requests.get(f"{svc.base_url}/documents", headers=auth(plaintext))
+            assert got.status_code == 401
+            assert got.json() == {"error": "authentication required"}
 
     def test_write_after_stop_is_a_500(self, svc, user_token):
         doc = upload(svc, user_token, "a.txt", b"plain text").json()
@@ -710,6 +723,19 @@ class TestUploadFailures:
 
 
 class TestNameAllocation:
+    """A burst of one (owner, extension) takes the slots now, now+1, ... for
+    the derivation, while each record's upload_timestamp stays the clock."""
+
+    def test_a_burst_keeps_the_clock_and_distinct_names(self, core):
+        alice = Principal("alice", Role.USER)
+        before = int(time.time())
+        burst = [core.upload(alice, f"{i}.pdf", io.BytesIO(b"x"), 1) for i in range(50)]
+        after = int(time.time())
+        assert all(before <= r.upload_timestamp <= after for r in burst)
+        assert len({r.opaque_name for r in burst}) == 50
+        assert [r.slot for r in burst] == list(range(burst[0].slot, burst[0].slot + 50))
+        assert all("slot" not in json.loads(r.public_row) for r in burst)
+
     def test_burst_then_restart_derives_one_name(self, core, vault_config, monkeypatch):
         """The high-water slot of an (owner, extension) is rebuilt from the
         store after a restart, so the next upload does not retry through
@@ -732,17 +758,18 @@ class TestNameAllocation:
                 other_ext = reopened.upload(alice, "notes.txt", io.BytesIO(b"z"), 1, now=1000)
             finally:
                 reopened.close()
-        assert late.upload_timestamp == 1040
-        assert other_ext.upload_timestamp == 1000  # the .pdf records do not hold .txt slots
+        assert late.slot == 1040
+        assert late.upload_timestamp == 1000
+        assert other_ext.slot == 1000  # the .pdf records do not hold .txt slots
         assert derived == [1040, 1000]
 
     def test_a_deleted_record_keeps_its_slot(self, core):
         alice = Principal("alice", Role.USER)
         burst = [core.upload(alice, f"{i}.pdf", io.BytesIO(b"x"), 1, now=1000) for i in range(3)]
-        assert [r.upload_timestamp for r in burst] == [1000, 1001, 1002]
+        assert [r.slot for r in burst] == [1000, 1001, 1002]
         core.delete_document(alice, burst[-1].doc_id)
         after = core.upload(alice, "next.pdf", io.BytesIO(b"y"), 1, now=1000)
-        assert after.upload_timestamp == 1003
+        assert after.slot == 1003
 
     def test_a_record_deleted_before_any_upload_keeps_its_slot(self, core, vault_config):
         """The slot is rebuilt from the records live when the store opens, so
@@ -756,7 +783,24 @@ class TestNameAllocation:
                 after = reopened.upload(alice, "next.pdf", io.BytesIO(b"y"), 1, now=1000)
             finally:
                 reopened.close()
-        assert after.upload_timestamp == 1003
+        assert after.slot == 1003
+
+    def test_a_record_without_a_slot_reads_its_timestamp(self, core, vault_config):
+        """A record stored before the slot had a field of its own derived its
+        name from its upload_timestamp."""
+        alice = Principal("alice", Role.USER)
+        old = core.upload(alice, "old.pdf", io.BytesIO(b"x"), 1, now=1000)
+        value = core.journal.get("doc:" + old.doc_id)
+        core.journal.put("doc:" + old.doc_id, {
+            k: v for k, v in value.items() if k != "slot"} | {"upload_timestamp": 1005})
+        with JournalStore(vault_config.store_path) as journal:
+            reopened = VaultCore(vault_config, core.key, journal)
+            try:
+                assert reopened.records.get_by_id(old.doc_id).slot == 1005
+                after = reopened.upload(alice, "next.pdf", io.BytesIO(b"y"), 1, now=1000)
+            finally:
+                reopened.close()
+        assert after.slot == 1006
 
     def test_cross_user_clash_retries_and_keeps_the_first(self, core):
         """The derivation input has no separator, so ("alice1", 23) and
@@ -770,11 +814,67 @@ class TestNameAllocation:
         second = core.upload(Principal("alice", Role.USER), "b.pdf", io.BytesIO(b"second"), 6,
                              now=123)
         assert second.opaque_name != first.opaque_name
-        assert second.upload_timestamp == 124
+        assert second.slot == 124
         assert blob.read_bytes() == b"first"
         assert blob.stat().st_ino == inode
         assert json.dumps(core.journal.get("doc:" + first.doc_id)) == stored
         assert core.records.get_by_id(first.doc_id) == first
+
+
+class TestNameClaim:
+    """An upload claims its storage name by creating the blob there with
+    O_EXCL, so whatever already holds the name, made by this process or by
+    another, sends it on to the next slot and is left as it was."""
+
+    def test_two_cores_on_one_journal_take_distinct_names(self, core, vault_config,
+                                                          monkeypatch):
+        # A core that probes a name with os.access before it takes it waits
+        # here until the other core has probed it too; one that claims the
+        # name by creating the blob never calls os.access.
+        barrier = threading.Barrier(2, timeout=2)
+        access = os.access
+
+        def probe_then_wait(*args, **kwargs):
+            found = access(*args, **kwargs)
+            with suppress(threading.BrokenBarrierError):
+                barrier.wait()
+            return found
+
+        monkeypatch.setattr(os, "access", probe_then_wait)
+        alice, records = Principal("alice", Role.USER), {}
+        with JournalStore(vault_config.store_path) as journal:
+            other = VaultCore(vault_config, core.key, journal)
+            bodies = {core: b"%PDF from the first core", other: b"%PDF from the second core"}
+
+            def upload_with(c):
+                records[c] = c.upload(alice, "a.pdf", io.BytesIO(bodies[c]), len(bodies[c]),
+                                      now=1000)
+
+            threads = [threading.Thread(target=upload_with, args=(c,)) for c in bodies]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            other.close()
+        assert len({r.opaque_name for r in records.values()}) == 2
+        for c, record in records.items():
+            assert (core.vault_dir / record.opaque_name.render()).read_bytes() == bodies[c]
+        with ReadOnlyJournal(vault_config.store_path) as journal:
+            assert check_consistency(MetadataStore(journal), core.vault_dir) == []
+
+    def test_symlink_and_fifo_at_the_next_names_are_skipped(self, core, tmp_path):
+        outside = tmp_path / "outside.pdf"
+        link, fifo = (core.vault_dir / derive_opaque_name(NameInputs("alice", ts, "pdf"),
+                                                          core.key).render()
+                      for ts in (1000, 1001))
+        link.symlink_to(outside)
+        os.mkfifo(fifo)
+        record = core.upload(Principal("alice", Role.USER), "a.pdf", io.BytesIO(b"body"), 4,
+                             now=1000)
+        assert record.slot == 1002
+        assert (core.vault_dir / record.opaque_name.render()).read_bytes() == b"body"
+        assert os.readlink(link) == str(outside) and not outside.exists()
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
 
 
 def walk_listing(svc, token) -> list[dict]:
