@@ -50,7 +50,8 @@ class JournalStore:
     def _open(self):
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            if self.path.exists():
+            existed = self.path.exists()
+            if existed:
                 good = self._replay()
                 if good < self.path.stat().st_size:
                     with open(self.path, "r+b") as fh:
@@ -62,6 +63,12 @@ class JournalStore:
             ), "ab")
             if os.fstat(self._fh.fileno()).st_mode & 0o177:  # a journal made before 0600
                 os.fchmod(self._fh.fileno(), 0o600)
+            if not existed:  # the new journal's directory entry
+                parent = os.open(self.path.parent, os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC)
+                try:
+                    os.fsync(parent)
+                finally:
+                    os.close(parent)
         except OSError as e:
             raise StorageFailure(f"cannot open store {self.path}: {e}")
 

@@ -64,11 +64,16 @@ class SecretKey:
 
 
 def check_username(username: str) -> None:
-    """The one username rule, for a token and a derivation alike: not empty, no NUL."""
+    """The one username rule, for a token and a derivation alike: not empty,
+    no NUL, and encodable as UTF-8, which the derivation hashes."""
     if not username:
         raise InvalidInput("username must be non-empty")
     if "\x00" in username:
         raise InvalidInput("username must not contain NUL")
+    try:
+        username.encode()
+    except UnicodeEncodeError:
+        raise InvalidInput("username must be valid UTF-8") from None
 
 
 @dataclass(frozen=True)

@@ -225,9 +225,12 @@ def verify_layout(policy: PlacementPolicy, webroot: str, vault_dir: str) -> list
         target = vault / name
         rule = "1b" if name == DENY_CONFIG_NAME else "2"
         try:
-            on_disk = target.read_bytes()
-        except FileNotFoundError:
-            violations.append(LayoutViolation(rule, str(target), "protection file missing"))
+            fd, _ = open_blob(None, str(target))  # a symlink there is not followed
+            with open(fd, "rb") as fh:
+                on_disk = fh.read()
+        except BlobMissing:
+            detail = "not a regular file" if os.path.lexists(target) else "missing"
+            violations.append(LayoutViolation(rule, str(target), f"protection file {detail}"))
             continue
         except OSError as e:
             raise IoFailure(target, e)

@@ -13,13 +13,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import queue
 import re
 import sys
 import threading
 import time
 import unicodedata
 import weakref
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -47,6 +48,29 @@ from .placement import materialize_layout, open_vault_dir
 
 MAX_NAME_RETRIES = 32
 _FALLBACK_EXTENSION = "bin"
+
+
+@contextmanager
+def _hashing(sha, size: int):
+    """Yield the call that feeds ``sha`` a body's chunks in order.  Past one
+    chunk a thread hashes them beside the caller's I/O (sha256 drops the
+    GIL), and it is joined however the caller leaves."""
+    if size <= delivery.CHUNK_SIZE:
+        yield sha.update
+        return
+    feed = queue.Queue(8)
+
+    def drain():
+        for chunk in iter(feed.get, None):
+            sha.update(chunk)
+
+    hasher = threading.Thread(target=drain, daemon=True)  # as the handler that feeds it
+    hasher.start()
+    try:
+        yield feed.put
+    finally:
+        feed.put(None)
+        hasher.join()
 
 
 def extension_for(filename: str) -> str:
@@ -95,10 +119,14 @@ class VaultCore:
         The blob is created under its name with O_EXCL, which fails, across
         processes too, on any entry there; a burst of one (owner, extension)
         takes the slots past the newest in the store, and ``upload_timestamp``
-        stays ``now``.  Only the record, put after the blob's fsync, makes the
-        blob readable: a failed upload unlinks it, and a crash leaves an orphan
-        for fsck.  The filename is stored NFC; one that is empty, longer than
-        255 UTF-8 bytes, or holds a control, ``/`` or ``\\`` is refused.
+        stays ``now``.  A body of more than one chunk is hashed in a second
+        thread, fed the chunks in order while this one reads, writes and
+        fsyncs; the thread is joined however the upload ends.  Only the
+        record, put after the fsyncs of the blob and of the vault directory,
+        makes the blob readable: a failed upload unlinks it, and a crash
+        leaves an orphan for fsck.  The filename is stored NFC; one that is
+        empty, longer than 255 UTF-8 bytes, or holds a control, ``/`` or
+        ``\\`` is refused.
         """
         if content_length > self.config.max_upload_bytes:
             raise TooLarge(
@@ -125,7 +153,7 @@ class VaultCore:
         try:
             sha = hashlib.sha256()
             head = b""
-            with os.fdopen(fd, "wb") as blob:
+            with os.fdopen(fd, "wb") as blob, _hashing(sha, content_length) as update:
                 remaining = content_length
                 while remaining > 0:
                     chunk = content.read(min(delivery.CHUNK_SIZE, remaining))
@@ -133,11 +161,12 @@ class VaultCore:
                         raise TruncatedBody("request body shorter than declared length")
                     if len(head) < 512:
                         head += chunk[: 512 - len(head)]
-                    sha.update(chunk)
+                    update(chunk)
                     blob.write(chunk)
                     remaining -= len(chunk)
                 blob.flush()
                 os.fsync(blob.fileno())
+            os.fsync(self.vault_fd)  # the blob's new directory entry
             record = DocumentRecord(
                 doc_id=new_doc_id(),
                 owner=principal.username,

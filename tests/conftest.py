@@ -57,6 +57,26 @@ def core(vault_config, tmp_path):
     journal.close()
 
 
+def inode(path) -> tuple[int, int]:
+    st = os.stat(path)
+    return st.st_dev, st.st_ino
+
+
+@pytest.fixture
+def fsynced(monkeypatch) -> list[tuple[int, int]]:
+    """The (device, inode) of each file or directory passed to os.fsync, in order."""
+    synced = []
+    fsync = os.fsync
+
+    def recording_fsync(fd):
+        st = os.fstat(fd)
+        synced.append((st.st_dev, st.st_ino))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    return synced
+
+
 @pytest.fixture
 def running_service(vault_config):
     service = VaultService(vault_config, key=SecretKey(TEST_KEY))

@@ -66,7 +66,7 @@ class TestAuthenticate:
 
 
     def test_empty_username_is_refused_before_it_is_stored(self, tokens, tmp_path):
-        for username in ("", "a\x00b"):
+        for username in ("", "a\x00b", "\udcff"):
             with pytest.raises(InvalidInput):
                 Principal(username, Role.USER)
             with pytest.raises(InvalidInput):

@@ -1,5 +1,8 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -249,12 +252,23 @@ class TestToken:
         source.write_bytes(b"text")
         capsys.readouterr()
         for argv in (["token", "create", ""], ["ingest", str(source), "--owner", ""],
-                     ["token", "create", "a\x00b"], ["ingest", str(source), "--owner", "a\x00b"]):
+                     ["token", "create", "a\x00b"], ["ingest", str(source), "--owner", "a\x00b"],
+                     ["token", "create", "\udcff"], ["ingest", str(source), "--owner", "\udcff"]):
             assert main(argv) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
             assert len(captured.err.splitlines()) == 1
             assert captured.err.startswith("error: ")
+        assert b"token:" not in (env / "store.journal").read_bytes()
+
+    def test_argument_that_is_not_utf8_is_one_error_line(self, env):
+        main(["init"])
+        # the environment the fixture set up, as `vault serve` is run below
+        done = subprocess.run([sys.executable, "-m", "docvault.cli", "token", "create", b"\xff"],
+                              capture_output=True, env=os.environ)
+        assert done.returncode == 1
+        assert done.stdout == b""
+        assert done.stderr.startswith(b"error: ") and len(done.stderr.splitlines()) == 1
         assert b"token:" not in (env / "store.journal").read_bytes()
 
 

@@ -27,6 +27,8 @@ from docvault.metadata import (
 from docvault.naming import OpaqueName
 from docvault.service import list_body
 
+from conftest import inode
+
 
 def make_record(i: int = 0, owner: str = "alice", **kw) -> DocumentRecord:
     digest = hashlib.md5(f"{owner}-{i}".encode()).hexdigest()
@@ -152,6 +154,13 @@ class TestDurability:
         finally:
             os.umask(old)
         assert (tmp_path / "store.journal").stat().st_mode & 0o777 == 0o600
+
+    def test_new_journal_fsyncs_its_directory(self, tmp_path, fsynced):
+        path = tmp_path / "state" / "store.journal"
+        JournalStore(path).close()
+        assert fsynced == [inode(path.parent)]
+        JournalStore(path).close()  # an existing journal's entry is already durable
+        assert fsynced == [inode(path.parent)]
 
     def test_existing_loose_journal_is_made_owner_only(self, tmp_path):
         # a journal made before new ones were created 0600

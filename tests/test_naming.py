@@ -60,6 +60,11 @@ class TestInputValidation:
         with pytest.raises(InvalidInput):
             NameInputs("a\x00b", 1, "pdf")
 
+    def test_username_that_is_not_utf8(self):
+        # a lone surrogate: what Python makes of an argument that is not UTF-8
+        with pytest.raises(InvalidInput):
+            NameInputs("\udcff", 1, "pdf")
+
     def test_negative_timestamp(self):
         with pytest.raises(InvalidInput):
             NameInputs("a", -1, "pdf")

@@ -201,6 +201,21 @@ class TestVerify:
         violations = verify_layout(*paths)
         assert [v.rule for v in violations] == ["2"]
 
+    def test_symlinked_deny_config_to_the_same_bytes(self, tmp_path):
+        # read without following the link, as materialize_layout reads it
+        paths = _tmp_paths(tmp_path, PlacementPolicy.DENIED_SUBDIR)
+        layout = plan_layout(*paths)
+        materialize_layout(layout)
+        outside = tmp_path / "outside"
+        outside.write_bytes(emit_deny_config())
+        deny = Path(layout.webroot) / "docs" / ".htaccess"
+        deny.unlink()
+        deny.symlink_to(outside)
+        violations = verify_layout(*paths)
+        assert [(v.rule, v.detail) for v in violations] == [
+            ("1b", "protection file not a regular file")
+        ]
+
     def test_world_readable_vault(self, tmp_path):
         paths = _tmp_paths(tmp_path, PlacementPolicy.DENIED_SUBDIR)
         layout = plan_layout(*paths)

@@ -6,6 +6,7 @@ import os
 import socket
 import stat
 import struct
+import sys
 import threading
 import time
 import unicodedata
@@ -24,6 +25,8 @@ from docvault.journal import JournalStore, ReadOnlyJournal
 from docvault.metadata import MetadataStore, check_consistency
 from docvault.naming import NameInputs, derive_opaque_name
 from docvault.service import VaultCore, VaultRequestHandler, extension_for
+
+from conftest import inode
 
 
 @pytest.fixture
@@ -1101,3 +1104,90 @@ class TestMultiChunkDownload:
         assert body == self.content[:100_000]
         assert open_blob_fds(svc.core.vault_dir) == 0
         assert requests.get(f"{svc.base_url}/healthz").status_code == 200
+
+
+class TestHashBesideTheWrite:
+    """A body of more than one chunk is hashed in a thread of its own, fed
+    the chunks in order; that thread ends with its upload."""
+
+    def test_multi_chunk_body_is_hashed_in_order(self, svc, user_token, monkeypatch, capsys):
+        from docvault.cli import main
+
+        body = os.urandom(3 * delivery.CHUNK_SIZE + 1)
+        resp = upload(svc, user_token, "big.bin", body)
+        assert resp.status_code == 201
+        record = svc.core.records.get_by_id(resp.json()["doc_id"])
+        assert record.checksum == hashlib.sha256(body).hexdigest()
+        config = svc.core.config
+        for name, value in (("VAULT_WEBROOT", config.webroot), ("VAULT_DIR", config.vault_dir),
+                            ("VAULT_POLICY", config.policy.value),
+                            ("VAULT_STORE", config.store_path)):
+            monkeypatch.setenv(name, value)
+        capsys.readouterr()
+        assert main(["fsck"]) == 0
+        assert capsys.readouterr().out == "clean\n"
+
+    def test_multi_chunk_body_cut_short_leaves_no_blob_and_no_thread(self, svc, user_token):
+        assert handler_threads_done()  # an earlier connection's thread may still be ending
+        before = threading.active_count()
+        headers = {"Authorization": f"Bearer {user_token}",
+                   "Content-Length": str(3 * delivery.CHUNK_SIZE + 1)}
+        body = b"x" * (2 * delivery.CHUNK_SIZE + 100)
+        raw = raw_exchange(svc, post_request(svc.address, headers, body), half_close=True)
+        head, _, reply = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(reply) == {"error": "truncated request body"}
+        assert sorted(p.name for p in svc.core.vault_dir.iterdir()) == [".htaccess", "index.html"]
+        assert handler_threads_done()
+        assert threading.active_count() == before
+
+    def test_only_a_body_over_one_chunk_starts_a_thread(self, core, monkeypatch):
+        started = []
+
+        class RecordingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", RecordingThread)
+        alice = Principal("alice", Role.USER)
+        for size, threads in ((delivery.CHUNK_SIZE, 0), (delivery.CHUNK_SIZE + 1, 1)):
+            body = os.urandom(size)
+            record = core.upload(alice, "a.bin", io.BytesIO(body), size)
+            assert record.checksum == hashlib.sha256(body).hexdigest()
+            assert len(started) == threads
+        assert not started[0].is_alive()
+
+    def test_concurrent_uploads_each_hash_their_own_body(self, core):
+        # more uploads than cores, with threads switched often
+        bodies = [os.urandom(4 * delivery.CHUNK_SIZE + i) for i in range(6)]
+        records = [None] * len(bodies)
+
+        def put(i):
+            records[i] = core.upload(Principal("alice", Role.USER), f"{i}.bin",
+                                     io.BytesIO(bodies[i]), len(bodies[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=put, args=(i,)) for i in range(len(bodies))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [r.checksum for r in records] == [hashlib.sha256(b).hexdigest() for b in bodies]
+
+
+class TestDurableEntries:
+    """An upload fsyncs its blob, then the vault directory that holds the
+    blob's new entry, and only then appends the record to the journal."""
+
+    @pytest.mark.parametrize("size", [10, 2 * delivery.CHUNK_SIZE])
+    def test_blob_then_directory_then_journal(self, core, fsynced, size):
+        record = core.upload(Principal("alice", Role.USER), "a.bin",
+                             io.BytesIO(b"x" * size), size)
+        blob = core.vault_dir / record.opaque_name.render()
+        assert fsynced == [inode(blob), inode(core.vault_dir), inode(core.config.store_path)]
