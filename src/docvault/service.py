@@ -21,6 +21,7 @@ import time
 import unicodedata
 import weakref
 from contextlib import contextmanager, suppress
+from email.utils import formatdate
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -231,10 +232,6 @@ def _has_traversal(path: str) -> bool:
     return any(seg in ("..", ".") for seg in decoded.split("/") if seg != "")
 
 
-class BadRequest(VaultError):
-    """HTTP/0.9, a header line the parser could not take, a folded one, or not one Host."""
-
-
 class BadFraming(VaultError):
     """A Transfer-Encoding, or more than one Content-Length."""
 
@@ -264,7 +261,6 @@ class FilenameRequired(VaultError):
 # can name a vault path.  Denied and missing documents both raise NotFound,
 # so their replies are the same bytes.
 _ERRORS: dict[type, tuple[int, str, bool]] = {
-    BadRequest: (400, "bad request", True),
     BadFraming: (400, "invalid framing", True),
     NegativeLength: (400, "negative Content-Length", True),
     LengthRequired: (411, "length required", True),
@@ -279,9 +275,34 @@ _ERRORS: dict[type, tuple[int, str, bool]] = {
     TruncatedBody: (400, "truncated request body", False),
     DuplicateOpaqueName: (409, "could not allocate a storage name", False),
     BlobMissing: (500, "stored document unavailable", False),
+    TimeoutError: (408, "request timeout", True),
     VaultError: (500, "internal error", True),
     OSError: (500, "internal error", True),
 }
+
+# RFC 9112 sections 3 and 5: a request line is a method token, a target of
+# visible ASCII and HTTP/d.d, single-spaced; a field line is a token, then
+# its colon, then a value without CR, LF or NUL.  Each line ends in CRLF.
+_TOKEN = r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+"
+_REQUEST_LINE = re.compile(rf"({_TOKEN}) ([!-~]+) HTTP/(\d)\.(\d)\r\n")
+_FIELD_LINE = re.compile(rf"({_TOKEN}):([^\r\n\x00]*)\r\n")
+MAX_FIELDS = 100
+MAX_LINE = 65536
+
+_STATUS_LINES = {status: f"HTTP/1.1 {status.value} {status.phrase}" for status in HTTPStatus}
+_date = (0, "")  # (second, its Date value): replaced whole, never half-updated
+
+
+def _http_date() -> str:
+    """The Date value of this second, formatted once per second."""
+    global _date
+    now = int(time.time())
+    second, value = _date
+    if second != now:
+        value = formatdate(now, usegmt=True)
+        _date = (now, value)
+    return value
+
 
 _ROUTES = {
     ("GET", "/documents"),
@@ -293,7 +314,6 @@ _ROUTES = {
 
 class VaultRequestHandler(BaseHTTPRequestHandler):
     server_version = "DocVault"
-    protocol_version = "HTTP/1.1"
 
     # No reply may wait on the client's delayed ACK, which Nagle's algorithm
     # makes a second small write do: TCP_NODELAY on every accepted socket,
@@ -305,19 +325,61 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
     # without being copied into it.
     disable_nagle_algorithm = True
     wbufsize = delivery.CHUNK_SIZE - 1
+    # A read that waits this many seconds for the client ends the connection,
+    # after a 408 when it read an upload's body (nginx's default for
+    # client_header_timeout and client_body_timeout).
+    timeout = 60
 
     def log_message(self, fmt, *args):  # keep test output quiet
         pass
 
-    def version_string(self):
-        return self.server_version  # the Server header names no Python version
+    def parse_request(self) -> bool:
+        """Read the head after the request line that handle_one_request read,
+        and answer a bad one with one JSON reply and a close."""
+        status = self._read_head()
+        if status:
+            self.send_error(status)
+        return not status
 
-    def handle_expect_100(self):
-        # The client waits for this interim reply before it sends the body,
-        # so it cannot sit in the buffer until the final reply.
-        super().handle_expect_100()
-        self.wfile.flush()
-        return True
+    def _read_head(self) -> int | None:
+        """The status that refuses the head, or None for one read whole.
+
+        Strict where RFC 9112 sections 2.2, 3 and 5 ask, so that no proxy in
+        front reads the head otherwise: CRLF line ends only, no obs-fold, no
+        space before a colon, no CR or NUL in a value, and exactly one Host.
+        ``self.headers`` maps each lowercased field name to its values.
+        """
+        line = _REQUEST_LINE.fullmatch(self.raw_requestline.decode("latin-1"))
+        if line is None or line[3] == "0":  # HTTP/0.9 has no head to check
+            return 400
+        self.command, self.path, major, minor = line.groups()
+        if major != "1":
+            return 505
+        self.close_connection = minor == "0"
+        self.headers = fields = {}
+        for _ in range(MAX_FIELDS + 1):
+            raw = self.rfile.readline(MAX_LINE + 1)
+            if len(raw) > MAX_LINE:
+                return 431
+            if raw == b"\r\n":
+                break
+            field = _FIELD_LINE.fullmatch(raw.decode("latin-1"))
+            if field is None:
+                return 400
+            fields.setdefault(field[1].lower(), []).append(field[2].strip(" \t"))
+        else:
+            return 431
+        if len(fields.get("host", ())) != 1:
+            return 400
+        connection = fields.get("connection", [""])[0].lower()
+        if connection in ("close", "keep-alive"):
+            self.close_connection = connection == "close"
+        if fields.get("expect", [""])[0].lower() == "100-continue" and minor != "0":
+            # The client waits for this before it sends the body, so it
+            # cannot sit in the buffer until the final reply.
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            self.wfile.flush()
+        return None
 
     def _serve(self):
         """Answer one request: framing, route, error table, then the one writer."""
@@ -341,29 +403,28 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
                 body.close()  # a body sent, cut short, or never started
 
     def send_error(self, code, message=None, explain=None):
-        """http.server's own refusals (400, 414, 431, 501, 505) leave by the
-        one writer too, never as its HTML page, which can quote the request."""
+        """Refusals of the head (400, 414, 431, 501, 505) leave by the one
+        writer too, never as http.server's HTML page, which can quote the
+        request."""
         self._write(code, {"error": HTTPStatus(code).phrase.lower()}, close=True)
 
     def _write(self, status: int, body, close: bool) -> None:
-        """Write one reply: status line, headers, then the body: a JSON value,
-        bytes, or a StreamResult with headers of its own, which goes by
-        sendfile after the headers when it is more than one chunk."""
+        """Write one reply: the head, joined in one string, then the body: a
+        JSON value, bytes, or a StreamResult with headers of its own, which
+        goes by sendfile after the head when it is more than one chunk."""
         if isinstance(body, delivery.StreamResult):
             headers = body.headers
         else:
             if not isinstance(body, bytes):
                 body = json.dumps(body).encode("utf-8")
-            headers = [("Server", self.version_string()), ("Date", self.date_time_string()),
+            headers = [("Server", self.server_version), ("Date", _http_date()),
                        ("Content-Type", "application/json"), ("Content-Length", str(len(body)))]
+        lines = [_STATUS_LINES[status], *(f"{name}: {value}" for name, value in headers)]
+        if close:
+            lines.append("Connection: close")
+            self.close_connection = True
         try:
-            self.request_version = self.protocol_version  # HTTP/0.9 would get no status line
-            self.send_response_only(status)
-            for name, value in headers:
-                self.send_header(name, value)
-            if close:
-                self.send_header("Connection", "close")  # sets close_connection
-            self.end_headers()
+            self.wfile.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
             if isinstance(body, bytes):
                 self.wfile.write(body)
             elif body.length <= delivery.CHUNK_SIZE:
@@ -381,15 +442,10 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
 
         The vault takes no chunked bodies, and a second Content-Length could
         be the one a proxy in front used: either is refused, so that the
-        vault and the proxy never see different request boundaries.  So is a
-        head that a proxy could read otherwise (RFC 9112 sections 3.2 and 5).
+        vault and the proxy never see different request boundaries.
         """
-        if (self.request_version == "HTTP/0.9" or self.headers.defects
-                or len(self.headers.get_all("Host", ())) != 1
-                or any("\n" in value for value in self.headers.values())):
-            raise BadRequest()
-        lengths = self.headers.get_all("Content-Length", ())
-        if "Transfer-Encoding" in self.headers or len(lengths) > 1:
+        lengths = self.headers.get("content-length", ())
+        if "transfer-encoding" in self.headers or len(lengths) > 1:
             raise BadFraming()
         if not lengths:
             return None
@@ -418,17 +474,16 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
         if (self.command, route) not in _ROUTES:
             raise NotFound()
         core = self.server.core
-        principal = core.tokens.authenticate(parse_bearer(self.headers.get("Authorization")))
+        principal = core.tokens.authenticate(
+            parse_bearer(self.headers.get("authorization", [None])[0]))
         if principal is None:
             raise Unauthenticated()
         if self.command == "POST":
-            query = parse_qs(url.query)
-            filename = (query.get("filename") or [""])[0]
-            if not filename:
-                try:  # http.server decodes header bytes as Latin-1; a name is UTF-8
-                    filename = self.headers.get("X-Filename", "").encode("latin-1").decode()
-                except UnicodeError:
-                    raise InvalidFilename() from None
+            try:  # a name is UTF-8; the head was decoded as Latin-1
+                filename = ((parse_qs(url.query, errors="strict").get("filename") or [""])[0]
+                            or self.headers.get("x-filename", [""])[0].encode("latin-1").decode())
+            except UnicodeError:
+                raise InvalidFilename() from None
             if not filename:
                 raise FilenameRequired()
             if length is None:
@@ -438,7 +493,7 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
             core.delete_document(principal, doc_id)
             return 200, {"deleted": doc_id}
         if doc_id is not None:
-            result = core.download(principal, doc_id, self.headers.get("Range"))
+            result = core.download(principal, doc_id, self.headers.get("range", [None])[0])
             return result.status, result
         cursor = (parse_qs(url.query).get("cursor") or [None])[0]
         return 200, list_body(*core.list_documents(principal, cursor))

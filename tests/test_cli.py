@@ -430,6 +430,7 @@ class TestServe:
         finally:
             proc.terminate()
             proc.wait(timeout=5)
+            proc.stdout.close()
 
     @pytest.mark.parametrize("bind", ["127.0.0.1:99999", "127.0.0.1:-1"])
     def test_out_of_range_port_exit_2(self, env, monkeypatch, capsys, bind):

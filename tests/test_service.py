@@ -1,3 +1,4 @@
+import email.utils
 import errno
 import hashlib
 import io
@@ -662,6 +663,132 @@ class TestHttpServerRefusals:
         assert requests.get(f"{svc.base_url}/healthz").json() == {"status": "ok"}
 
 
+class TestStrictReader:
+    """The request head is read strictly (RFC 9112 sections 2.2 and 5): a
+    head that a proxy in front could read otherwise gets one JSON 400 and a
+    close, so the request behind it is never answered."""
+
+    SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    @pytest.mark.parametrize("head", [
+        b"GET /healthz HTTP/1.1\r\nHost: x\nX-Note: a\r\n\r\n",
+        b"GET /healthz HTTP/1.1\nHost: x\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\nX-Note: a\x00b\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\nX-Note: a\rb\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\nX-Note a\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\nX@Note: a\r\n\r\n",
+    ], ids=["bare-lf-field-line", "bare-lf-request-line", "nul-in-value", "cr-in-value",
+            "no-colon", "name-not-a-token"])
+    def test_one_json_400_then_close(self, svc, head):
+        raw = raw_exchange(svc, head + self.SMUGGLED)
+        assert raw.count(b"HTTP/1.1 ") == 1, raw
+        reply_head, _, body = raw.partition(b"\r\n\r\n")
+        lines = reply_head.split(b"\r\n")
+        assert lines[0] == b"HTTP/1.1 400 Bad Request"
+        assert b"Connection: close" in lines
+        assert json.loads(body) == {"error": "bad request"}
+
+    def test_lowercase_field_names(self, svc, user_token):
+        raw = raw_exchange(svc, (
+            "POST /documents?filename=a.txt HTTP/1.1\r\nhost: x\r\n"
+            f"authorization: Bearer {user_token}\r\ncontent-length: 5\r\n"
+            "connection: close\r\n\r\nhello").encode())
+        assert raw.startswith(b"HTTP/1.1 201 ")
+        assert [d["original_filename"] for d in walk_listing(svc, user_token)] == ["a.txt"]
+
+    def test_pipelined_requests_get_their_replies_in_order(self, svc, user_token):
+        raw = raw_exchange(svc, (
+            "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+            "GET /nope HTTP/1.1\r\nHost: x\r\n\r\n"
+            f"GET /documents HTTP/1.1\r\nHost: x\r\nAuthorization: Bearer {user_token}\r\n"
+            "Connection: close\r\n\r\n").encode())
+        assert [r.split(b"\r\n", 1)[0] for r in raw.split(b"HTTP/1.1 ")[1:]] == [
+            b"200 OK", b"404 Not Found", b"200 OK"]
+        assert raw.endswith(b'{"documents": [], "next_cursor": null}')
+
+    def test_reply_heads_keep_their_bytes(self, svc, user_token):
+        """Each route's reply head, field for field and in order; only Date varies."""
+        doc = upload(svc, user_token, "a.pdf", b"%PDF-1.4 hello").json()
+
+        def head(target, extra=""):
+            raw = raw_exchange(svc, (
+                f"GET {target} HTTP/1.1\r\nHost: x\r\nAuthorization: Bearer {user_token}\r\n"
+                f"{extra}Connection: close\r\n\r\n").encode())
+            lines, _, body = raw.partition(b"\r\n\r\n")
+            lines = lines.split(b"\r\n")
+            dates = [i for i, line in enumerate(lines) if line.startswith(b"Date: ")]
+            for i in dates:
+                stamp = email.utils.parsedate_to_datetime(lines[i][6:].decode())
+                assert abs(stamp.timestamp() - time.time()) < 5
+                lines[i] = b"Date: *"
+            return lines, len(body)
+
+        def json_head(status, length):
+            return [status, b"Server: DocVault", b"Date: *", b"Content-Type: application/json",
+                    b"Content-Length: %d" % length]
+
+        download = [b"Content-Type: application/pdf", b"Content-Length: 14",
+                    b"Accept-Ranges: bytes", b'Content-Disposition: attachment; filename="a.pdf"']
+        lines, length = head("/healthz")
+        assert lines == json_head(b"HTTP/1.1 200 OK", 16) and length == 16
+        lines, length = head("/documents")
+        assert lines == json_head(b"HTTP/1.1 200 OK", length)
+        lines, length = head("/documents/dmissing")
+        assert lines == json_head(b"HTTP/1.1 404 Not Found", length) and length == 22
+        assert head(f"/documents/{doc['doc_id']}") == ([b"HTTP/1.1 200 OK", *download], 14)
+        ranged = [b"HTTP/1.1 206 Partial Content", *download, b"Content-Range: bytes 2-5/14"]
+        ranged[2] = b"Content-Length: 4"
+        assert head(f"/documents/{doc['doc_id']}", "Range: bytes=2-5\r\n") == (ranged, 4)
+
+
+class TestReadTimeout:
+    """A connection that stalls mid-head or mid-body does not hold its
+    thread: it is dropped, and a stalled upload is answered 408."""
+
+    @pytest.fixture
+    def handler_threads(self, monkeypatch):
+        monkeypatch.setattr(VaultRequestHandler, "timeout", 0.3)
+        threads = []
+        handle = VaultRequestHandler.handle
+
+        def recording_handle(handler):
+            threads.append(threading.current_thread())
+            handle(handler)
+
+        monkeypatch.setattr(VaultRequestHandler, "handle", recording_handle)
+        return threads
+
+    def test_the_shipped_timeout_is_finite(self):
+        assert VaultRequestHandler.timeout is not None
+        assert 0 < VaultRequestHandler.timeout < float("inf")
+
+    def test_half_a_head_is_closed_and_its_thread_ends(self, svc, handler_threads):
+        started = time.monotonic()
+        with socket.create_connection(svc.address, timeout=2) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n")
+            assert sock.recv(65536) == b""
+        assert time.monotonic() - started < 2
+        [thread] = handler_threads
+        thread.join(timeout=2)
+        assert not thread.is_alive()
+
+    def test_a_stalled_body_gets_408_and_leaves_no_blob(self, svc, user_token,
+                                                        handler_threads):
+        headers = {"Authorization": f"Bearer {user_token}", "Content-Length": "10"}
+        with socket.create_connection(svc.address, timeout=2) as sock:
+            sock.sendall(post_request(svc.address, headers, b"hello"))
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        assert lines[0] == b"HTTP/1.1 408 Request Timeout"
+        assert b"Connection: close" in lines
+        assert json.loads(body) == {"error": "request timeout"}
+        assert svc.core.records.list_all()[0] == []
+        assert sorted(p.name for p in svc.core.vault_dir.iterdir()) == [".htaccess", "index.html"]
+
+
 class TestTableReplies:
     """Failures that once dropped the connection get their row of the table."""
 
@@ -914,6 +1041,15 @@ class TestUnicodeNames:
                                b"x", "/documents")
         request = request.replace(b"\r\n\r\n", b"\r\nX-Filename: \xe9.pdf\r\n\r\n", 1)
         reply = raw_exchange(svc, request)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert reply.endswith(b'{"error": "invalid filename"}')
+        assert walk_listing(svc, user_token) == []
+
+    @pytest.mark.parametrize("quoted", ["%FF.pdf", "%ED%A0%80.pdf"])
+    def test_query_filename_not_utf8_is_refused(self, svc, user_token, quoted):
+        reply = raw_exchange(svc, post_request(
+            svc.address, {**auth(user_token), "Content-Length": 1}, b"x",
+            f"/documents?filename={quoted}"))
         assert reply.startswith(b"HTTP/1.1 400 ")
         assert reply.endswith(b'{"error": "invalid filename"}')
         assert walk_listing(svc, user_token) == []
