@@ -41,7 +41,8 @@ class JournalStore:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.lock = threading.RLock()  # shared with callers that need several steps atomic
+        self.lock = threading.RLock()  # each writer's, across its append and fsync
+        self.view_lock = threading.Lock()  # for _data and the stores; never held across I/O
         self._data: dict[str, dict] = {}
         self._stores: list = []
         self._fh = None
@@ -111,35 +112,36 @@ class JournalStore:
 
     def attach(self, store) -> None:
         """Run ``store.rebuild(items)`` now and ``store.apply(key, old, new)`` after
-        each durable put or delete, under the lock; None stands for no value."""
-        with self.lock:
+        each durable put or delete, under ``view_lock``; None stands for no value."""
+        with self.view_lock:
             store.rebuild(self._data.items())
             self._stores.append(store)
 
     def put(self, key: str, value: dict):
         with self.lock:
             self._append({"op": "put", "key": key, "value": value})
-            old = self._data.get(key)
-            self._data[key] = value
-            for store in self._stores:
-                store.apply(key, old, value)
+            with self.view_lock:
+                old = self._data.get(key)
+                self._data[key] = value
+                for store in self._stores:
+                    store.apply(key, old, value)
 
     def delete(self, key: str) -> bool:
         with self.lock:
             if key not in self._data:
                 return False
             self._append({"op": "del", "key": key, "value": None})
-            old = self._data.pop(key)
-            for store in self._stores:
-                store.apply(key, old, None)
+            with self.view_lock:
+                old = self._data.pop(key)
+                for store in self._stores:
+                    store.apply(key, old, None)
             return True
 
     def get(self, key: str) -> dict | None:
-        with self.lock:
-            return self._data.get(key)
+        return self._data.get(key)  # one dict read, so it never waits on a writer
 
     def items(self) -> list[tuple[str, dict]]:
-        with self.lock:
+        with self.view_lock:
             return list(self._data.items())
 
     def close(self):

@@ -85,13 +85,14 @@ def new_doc_id() -> str:
 class MetadataStore:
     """Record store over the journal; one writer, many readers.
 
-    The journal drives the indexes, under its lock: ``rebuild`` derives them
-    when the store attaches, and ``apply`` patches them after each durable
+    The journal drives the indexes, under its ``view_lock``: ``rebuild`` derives
+    them when the store attaches, and ``apply`` patches them after each durable
     put or delete.  They hold the live opaque names, the sorted (upload_timestamp,
     doc_id) keys of all records and of each owner's, which page listings with a
     bisect and a slice, and the newest slot per (owner, extension).  put_record
-    checks that doc_id and opaque name are unique under the same lock.  A record
-    is decoded once, on its first read, into a map that only ``apply`` evicts
+    checks that doc_id and opaque name are unique under the journal's ``lock``,
+    which each writer holds across its fsync; no read takes it.  A record is
+    decoded once, on its first read, into a map that only ``apply`` evicts
     from; start-up decodes nothing.
     """
 
@@ -154,13 +155,13 @@ class MetadataStore:
     def get_by_id(self, doc_id: str) -> DocumentRecord | None:
         record = self._records.get(doc_id)  # a hit never waits on a writer's fsync
         if record is None:
-            with self._journal.lock:
+            with self._journal.view_lock:
                 record = self._record(doc_id)
         return record
 
     def _record(self, doc_id: str) -> DocumentRecord | None:
         """The live record, decoded into the map on a miss; the caller holds
-        the lock, so a record deleted meanwhile is never cached."""
+        ``view_lock``, so a record deleted meanwhile is never cached."""
         record = self._records.get(doc_id)
         if record is None:
             value = self._journal.get(_DOC_PREFIX + doc_id)
@@ -195,7 +196,7 @@ class MetadataStore:
     def _page(
         self, owner: str | None, cursor: str | None, page_size: int
     ) -> tuple[list[DocumentRecord], str | None]:
-        with self._journal.lock:
+        with self._journal.view_lock:
             keys = self._keys if owner is None else self._keys_by_owner.get(owner, [])
             start = 0
             if cursor:

@@ -10,6 +10,7 @@ headers never contain an opaque storage name or a vault path.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
@@ -49,6 +50,23 @@ from .placement import materialize_layout, open_vault_dir
 
 MAX_NAME_RETRIES = 32
 _FALLBACK_EXTENSION = "bin"
+WRITEBACK_WINDOW = 8 * 1024 * 1024  # an upload starts the writeback of each one it completes
+
+
+def _writeback_call():
+    """``start(fd, offset, nbytes)``: sync_file_range(2) with SYNC_FILE_RANGE_WRITE,
+    which queues the range's dirty pages for the disk, keeps them cached and
+    waits for none, or nothing where libc lacks it.  Its result is ignored:
+    the fsync after it reports a failed write."""
+    try:
+        call = ctypes.CDLL(None, use_errno=True).sync_file_range
+    except AttributeError:
+        return lambda fd, offset, nbytes: None
+    call.argtypes = (ctypes.c_int, ctypes.c_longlong, ctypes.c_longlong, ctypes.c_uint)
+    return lambda fd, offset, nbytes: call(fd, offset, nbytes, 2)  # SYNC_FILE_RANGE_WRITE
+
+
+_start_writeback = _writeback_call()
 
 
 @contextmanager
@@ -122,12 +140,14 @@ class VaultCore:
         takes the slots past the newest in the store, and ``upload_timestamp``
         stays ``now``.  A body of more than one chunk is hashed in a second
         thread, fed the chunks in order while this one reads, writes and
-        fsyncs; the thread is joined however the upload ends.  Only the
-        record, put after the fsyncs of the blob and of the vault directory,
-        makes the blob readable: a failed upload unlinks it, and a crash
-        leaves an orphan for fsck.  The filename is stored NFC; one that is
-        empty, longer than 255 UTF-8 bytes, or holds a control, ``/`` or
-        ``\\`` is refused.
+        fsyncs; the thread is joined however the upload ends.  Each full
+        ``WRITEBACK_WINDOW`` of the body but its last starts its writeback
+        once written, so the blob's fsync, still what makes it durable, waits
+        only for the tail.  Only the record, put after the fsyncs of the blob
+        and of the vault directory, makes the blob readable: a failed upload
+        unlinks it, and a crash leaves an orphan for fsck.  The filename is
+        stored NFC; one that is empty, longer than 255 UTF-8 bytes, or holds
+        a control, ``/`` or ``\\`` is refused.
         """
         if content_length > self.config.max_upload_bytes:
             raise TooLarge(
@@ -155,7 +175,7 @@ class VaultCore:
             sha = hashlib.sha256()
             head = b""
             with os.fdopen(fd, "wb") as blob, _hashing(sha, content_length) as update:
-                remaining = content_length
+                remaining, window = content_length, 0  # the next writeback's start
                 while remaining > 0:
                     chunk = content.read(min(delivery.CHUNK_SIZE, remaining))
                     if not chunk:
@@ -165,6 +185,9 @@ class VaultCore:
                     update(chunk)
                     blob.write(chunk)
                     remaining -= len(chunk)
+                    if remaining and content_length - remaining >= window + WRITEBACK_WINDOW:
+                        _start_writeback(blob.fileno(), window, WRITEBACK_WINDOW)
+                        window += WRITEBACK_WINDOW
                 blob.flush()
                 os.fsync(blob.fileno())
             os.fsync(self.vault_fd)  # the blob's new directory entry

@@ -1,3 +1,4 @@
+import ctypes
 import email.utils
 import errno
 import hashlib
@@ -24,10 +25,10 @@ from docvault.access import Principal, Role
 from docvault.errors import StorageFailure
 from docvault.journal import JournalStore, ReadOnlyJournal
 from docvault.metadata import MetadataStore, check_consistency
-from docvault.naming import NameInputs, derive_opaque_name
-from docvault.service import VaultCore, VaultRequestHandler, extension_for
+from docvault.naming import NameInputs, SecretKey, derive_opaque_name
+from docvault.service import VaultCore, VaultRequestHandler, VaultService, extension_for
 
-from conftest import inode
+from conftest import TEST_KEY, inode, make_config
 
 
 @pytest.fixture
@@ -308,6 +309,56 @@ class TestRecordMap:
         got = requests.get(url, headers=auth(user_token))
         assert got.status_code == 404
         assert got.json() == {"error": "not found"}
+
+
+class TestReadsBesideAWriter:
+    def test_denied_and_missing_gets_never_wait_on_a_writer(self, vault_config):
+        """With the journal's writer lock held, as across an append and its
+        fsync, a GET of someone else's undecoded document and a GET of one
+        that never existed get the same 404 within a second, and a listing
+        its page or its refusal of a stale cursor."""
+        seed = VaultService(vault_config, key=SecretKey(TEST_KEY))
+        seed.start()
+        try:
+            _, alice = seed.core.tokens.create_token("alice", Role.USER)
+            _, bob = seed.core.tokens.create_token("bob", Role.USER)
+            doc_id = upload(seed, alice, "a.pdf", b"alice only").json()["doc_id"]
+        finally:
+            seed.stop()
+        svc = VaultService(vault_config, key=SecretKey(TEST_KEY))  # start-up decodes nothing
+        svc.start()
+        held, release = threading.Event(), threading.Event()
+
+        def writer():
+            with svc.journal.lock:
+                held.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=writer)
+        holder.start()
+
+        def reply(target):
+            raw = raw_exchange(svc, (
+                f"GET {target} HTTP/1.1\r\nHost: x\r\nAuthorization: Bearer {bob}\r\n"
+                "Connection: close\r\n\r\n").encode(), timeout=1.0)
+            return [ln for ln in raw.split(b"\r\n") if not ln.startswith(b"Date: ")]
+
+        try:
+            assert held.wait(5)
+            denied = reply(f"/documents/{doc_id}")
+            missing = reply("/documents/d" + "0" * 24)
+            listing = reply("/documents")
+            stale = reply("/documents?cursor=d" + "0" * 24)
+        finally:
+            release.set()
+            holder.join()
+            svc.stop()
+        assert denied[0].startswith(b"HTTP/1.1 404 ")
+        assert denied == missing
+        assert listing[0].startswith(b"HTTP/1.1 200 ")
+        assert json.loads(listing[-1]) == {"documents": [], "next_cursor": None}
+        assert stale[0].startswith(b"HTTP/1.1 400 ")
+        assert json.loads(stale[-1]) == {"error": "invalid cursor"}
 
 
 class TestListCursor:
@@ -1247,21 +1298,12 @@ class TestHashBesideTheWrite:
     the chunks in order; that thread ends with its upload."""
 
     def test_multi_chunk_body_is_hashed_in_order(self, svc, user_token, monkeypatch, capsys):
-        from docvault.cli import main
-
         body = os.urandom(3 * delivery.CHUNK_SIZE + 1)
         resp = upload(svc, user_token, "big.bin", body)
         assert resp.status_code == 201
         record = svc.core.records.get_by_id(resp.json()["doc_id"])
         assert record.checksum == hashlib.sha256(body).hexdigest()
-        config = svc.core.config
-        for name, value in (("VAULT_WEBROOT", config.webroot), ("VAULT_DIR", config.vault_dir),
-                            ("VAULT_POLICY", config.policy.value),
-                            ("VAULT_STORE", config.store_path)):
-            monkeypatch.setenv(name, value)
-        capsys.readouterr()
-        assert main(["fsck"]) == 0
-        assert capsys.readouterr().out == "clean\n"
+        assert fsck(svc.core.config, monkeypatch, capsys) == "clean\n"
 
     def test_multi_chunk_body_cut_short_leaves_no_blob_and_no_thread(self, svc, user_token):
         assert handler_threads_done()  # an earlier connection's thread may still be ending
@@ -1317,11 +1359,99 @@ class TestHashBesideTheWrite:
         assert [r.checksum for r in records] == [hashlib.sha256(b).hexdigest() for b in bodies]
 
 
+def fsck(config, monkeypatch, capsys) -> str:
+    """What ``vault fsck`` prints for the vault of ``config``; it must exit 0."""
+    from docvault.cli import main
+
+    for name, value in (("VAULT_WEBROOT", config.webroot), ("VAULT_DIR", config.vault_dir),
+                        ("VAULT_POLICY", config.policy.value),
+                        ("VAULT_STORE", config.store_path)):
+        monkeypatch.setenv(name, value)
+    capsys.readouterr()
+    assert main(["fsck"]) == 0
+    return capsys.readouterr().out
+
+
+class TestWritebackWindows:
+    """Each full ``WRITEBACK_WINDOW`` of a body but its last starts its
+    writeback once written, before the blob's fsync, which still makes the
+    blob durable."""
+
+    WINDOW = service.WRITEBACK_WINDOW
+    SIZE = 2 * WINDOW + delivery.CHUNK_SIZE
+
+    @pytest.fixture
+    def vault_config(self, tmp_path):
+        return make_config(tmp_path, max_upload_bytes=self.SIZE)
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> list:
+        """Each writeback range started, and "fsync" for each fsync, in order."""
+        calls, fsync, start = [], os.fsync, service._start_writeback
+
+        def recording_fsync(fd):
+            calls.append("fsync")
+            fsync(fd)
+
+        def recording_start(fd, offset, nbytes):
+            calls.append((offset, nbytes))
+            start(fd, offset, nbytes)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(service, "_start_writeback", recording_start)
+        return calls
+
+    def test_each_full_window_but_the_last_before_the_fsyncs(self, core, calls, monkeypatch,
+                                                             capsys):
+        body = os.urandom(self.SIZE)
+        record = core.upload(Principal("alice", Role.USER), "big.bin", io.BytesIO(body),
+                             len(body))
+        # then the fsyncs of the blob, the vault directory and the journal
+        assert calls == [(0, self.WINDOW), (self.WINDOW, self.WINDOW)] + ["fsync"] * 3
+        assert record.checksum == hashlib.sha256(body).hexdigest()
+        assert fsck(core.config, monkeypatch, capsys) == "clean\n"
+
+    @pytest.mark.parametrize("size", [delivery.CHUNK_SIZE + 1, WINDOW])
+    def test_a_body_of_one_window_starts_none(self, core, calls, size):
+        core.upload(Principal("alice", Role.USER), "a.bin", io.BytesIO(b"x" * size), size)
+        assert calls == ["fsync"] * 3
+
+    def test_without_the_call_a_body_is_stored_the_same(self, core, monkeypatch):
+        class NoSyncFileRange:  # a libc that lacks the symbol
+            pass
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: NoSyncFileRange())
+        start = service._writeback_call()
+        assert start(-1, 0, self.WINDOW) is None
+        monkeypatch.setattr(service, "_start_writeback", start)
+        body = os.urandom(self.SIZE)
+        record = core.upload(Principal("alice", Role.USER), "big.bin", io.BytesIO(body),
+                             len(body))
+        assert record.checksum == hashlib.sha256(body).hexdigest()
+        assert (core.vault_dir / record.opaque_name.render()).read_bytes() == body
+
+    def test_a_multi_window_body_cut_short_leaves_no_blob_and_no_thread(self, svc, user_token,
+                                                                         calls):
+        assert handler_threads_done()
+        before = threading.active_count()
+        headers = {"Authorization": f"Bearer {user_token}", "Content-Length": str(self.SIZE)}
+        body = b"x" * (self.WINDOW + delivery.CHUNK_SIZE)
+        raw = raw_exchange(svc, post_request(svc.address, headers, body), half_close=True)
+        head, _, reply = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(reply) == {"error": "truncated request body"}
+        assert calls == [(0, self.WINDOW)]
+        assert sorted(p.name for p in svc.core.vault_dir.iterdir()) == [".htaccess", "index.html"]
+        assert handler_threads_done()
+        assert threading.active_count() == before
+
+
 class TestDurableEntries:
     """An upload fsyncs its blob, then the vault directory that holds the
     blob's new entry, and only then appends the record to the journal."""
 
-    @pytest.mark.parametrize("size", [10, 2 * delivery.CHUNK_SIZE])
+    @pytest.mark.parametrize("size", [10, 2 * delivery.CHUNK_SIZE,
+                                      service.WRITEBACK_WINDOW + delivery.CHUNK_SIZE])
     def test_blob_then_directory_then_journal(self, core, fsynced, size):
         record = core.upload(Principal("alice", Role.USER), "a.bin",
                              io.BytesIO(b"x" * size), size)
