@@ -199,7 +199,7 @@ def stream_document(
     if not isinstance(authz_proof, AccessProof) or authz_proof.doc_id != record.doc_id:
         raise PermissionError("delivery requires an authorization proof for this document")
 
-    fd, size = open_blob(vault_fd, record.opaque_name.render())
+    fd, size = open_blob(vault_fd, record.opaque_name)
     try:
         byte_range = parse_range_header(range_header, size)
         start, end = byte_range or (0, size - 1)

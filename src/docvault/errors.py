@@ -18,7 +18,7 @@ class PolicyPathMismatch(VaultError):
 
 
 class IoFailure(VaultError):
-    """Filesystem operation failed; carries the path and the cause."""
+    """A filesystem operation or a bind failed; carries the path or address and the cause."""
 
     def __init__(self, path, cause):
         super().__init__(f"{path}: {cause}")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .errors import BlobMissing, DuplicateOpaqueName, InvalidCursor, StorageFailure
 from .journal import JournalStore
-from .naming import OpaqueName
+from .naming import check_storage_name
 from .placement import DENY_CONFIG_NAME, INDEX_PLACEHOLDER_NAME, open_blob, open_vault_dir
 
 _DOC_PREFIX = "doc:"
@@ -37,18 +37,17 @@ class DocumentRecord:
     size_bytes: int
     upload_timestamp: int
     slot: int  # the timestamp the name derives from; upload_timestamp in older journals
-    opaque_name: OpaqueName
+    opaque_name: str  # the blob's name in the vault directory
     checksum: str  # lowercase hex sha256 of blob content
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["opaque_name"] = self.opaque_name.render()
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DocumentRecord":
-        """The record of a journal value; keys it does not name, such as the
-        ``policy`` that older journals carry, are ignored."""
+        """The record of a journal value, whose storage name must have the
+        derived form; keys it does not name, such as the ``policy`` that
+        older journals carry, are ignored."""
         return cls(
             doc_id=d["doc_id"],
             owner=d["owner"],
@@ -57,7 +56,7 @@ class DocumentRecord:
             size_bytes=d["size_bytes"],
             upload_timestamp=d["upload_timestamp"],
             slot=d.get("slot", d["upload_timestamp"]),
-            opaque_name=OpaqueName.parse(d["opaque_name"]),
+            opaque_name=check_storage_name(d["opaque_name"]),
             checksum=d["checksum"],
         )
 
@@ -142,10 +141,9 @@ class MetadataStore:
                 self._slots[owner_ext] = slot
 
     def put_record(self, record: DocumentRecord) -> str:
-        rendered = record.opaque_name.render()
         with self._journal.lock:
-            if rendered in self._by_name:
-                raise DuplicateOpaqueName(rendered)
+            if record.opaque_name in self._by_name:
+                raise DuplicateOpaqueName(record.opaque_name)
             if self._journal.get(_DOC_PREFIX + record.doc_id) is not None:
                 raise StorageFailure(f"doc_id collision: {record.doc_id}")
             self._journal.put(_DOC_PREFIX + record.doc_id, record.to_dict())
@@ -169,9 +167,9 @@ class MetadataStore:
                 record = self._records[doc_id] = DocumentRecord.from_dict(value)
         return record
 
-    def name_taken(self, rendered: str) -> bool:
-        """Whether a live record holds this rendered opaque name."""
-        return rendered in self._by_name
+    def name_taken(self, name: str) -> bool:
+        """Whether a live record holds this storage name."""
+        return name in self._by_name
 
     def last_slot(self, owner: str, extension: str) -> int:
         """The newest slot of (owner, extension) live at start or put since, or -1."""
@@ -237,13 +235,13 @@ def check_consistency(store: MetadataStore, vault_dir: str | Path) -> list[Consi
     """
     vault = Path(vault_dir)
     issues: list[ConsistencyIssue] = []
-    records = {r.opaque_name.render(): r for r in store.list_all(page_size=sys.maxsize)[0]}
+    records = {r.opaque_name: r for r in store.list_all(page_size=sys.maxsize)[0]}
     vault_fd = open_vault_dir(vault)
     try:
-        for rendered, record in records.items():
-            blob = str(vault / rendered)
+        for name, record in records.items():
+            blob = str(vault / name)
             try:
-                fd, size = open_blob(vault_fd, rendered)
+                fd, size = open_blob(vault_fd, name)
             except BlobMissing as exc:
                 issues.append(ConsistencyIssue("dangling-record", record.doc_id, blob, str(exc)))
                 continue

@@ -1,17 +1,20 @@
-"""Opaque storage-name derivation.
+"""Storage names: the one module that knows their format.
 
-Stored blobs get names of the form ``<32 hex chars>.<ext>`` derived from
+A stored blob is named ``<32 hex chars>.<ext>``, a plain ``str`` derived from
 (username, upload timestamp, server secret).  An outsider who does not hold
 the server secret cannot regenerate a name even if they learn the username
 and the exact upload second, unlike the trivially enumerable ``1.pdf,
-2.pdf, ...`` style that makes blind guessing practical.
+2.pdf, ...`` style that makes blind guessing practical.  ``derive_opaque_name``
+makes a name, and ``check_storage_name`` checks one read back from the store,
+so that no stored record can name a path outside the vault directory.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InvalidInput, WeakKey
@@ -19,8 +22,9 @@ from .errors import InvalidInput, WeakKey
 MIN_KEY_OCTETS = 16
 MAX_KEY_OCTETS = 64
 
-_EXTENSION_RE = re.compile(r"^[a-z0-9]{1,10}$")
-_HEX32_RE = re.compile(r"^[0-9a-f]{32}$")
+_EXTENSION = re.compile(r"[a-z0-9]{1,10}")
+_STORAGE_NAME = re.compile(r"[0-9a-f]{32}\." + _EXTENSION.pattern)
+_FALLBACK_EXTENSION = "bin"
 
 
 @dataclass(frozen=True)
@@ -28,21 +32,17 @@ class SecretKey:
     """Server-side secret used as the trailing operand of the derivation.
 
     Loaded once at startup and treated as read-only.  The raw octets never
-    appear in logs, reports, or responses; ``repr`` is redacted.
-
-    Keys shorter than MIN_KEY_OCTETS are rejected.  ``allow_weak=True``
-    bypasses the length check so that known-answer vectors with short keys
-    can be reproduced in tests; never use it for a deployed vault.
+    appear in logs, reports, or responses; ``repr`` is redacted.  Keys
+    shorter than MIN_KEY_OCTETS are rejected.
     """
 
     octets: bytes
     source: str = "explicit"
-    allow_weak: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.octets, bytes):
             raise WeakKey("secret key must be raw bytes")
-        if not self.allow_weak and len(self.octets) < MIN_KEY_OCTETS:
+        if len(self.octets) < MIN_KEY_OCTETS:
             raise WeakKey(
                 f"secret key is {len(self.octets)} octets; minimum is {MIN_KEY_OCTETS}"
             )
@@ -76,61 +76,31 @@ def check_username(username: str) -> None:
         raise InvalidInput("username must be valid UTF-8") from None
 
 
-@dataclass(frozen=True)
-class NameInputs:
-    """The public operands of a derivation: who uploaded, when, and the extension.
-
-    Usernames are UTF-8 encoded before hashing; the extension is validated
-    but is not part of the digest input.
-    """
-
-    username: str
-    upload_timestamp: int
-    extension: str
-
-    def __post_init__(self):
-        check_username(self.username)
-        if not isinstance(self.upload_timestamp, int) or isinstance(self.upload_timestamp, bool):
-            raise InvalidInput("upload_timestamp must be an integer")
-        if self.upload_timestamp < 0:
-            raise InvalidInput("upload_timestamp must be >= 0")
-        if not _EXTENSION_RE.match(self.extension):
-            raise InvalidInput(
-                f"extension {self.extension!r} must match [a-z0-9]{{1,10}}"
-            )
+def extension_for(filename: str) -> str:
+    """Lowercased extension of the upload, or a fixed fallback when it has
+    none that a storage name can carry."""
+    ext = os.path.splitext(filename)[1].lstrip(".").lower()
+    return ext if _EXTENSION.fullmatch(ext) else _FALLBACK_EXTENSION
 
 
-@dataclass(frozen=True)
-class OpaqueName:
-    """A derived storage name: 32 lowercase hex chars plus the extension."""
-
-    digest_hex: str
-    extension: str
-
-    def __post_init__(self):
-        if not _HEX32_RE.match(self.digest_hex):
-            raise InvalidInput("digest_hex must be 32 lowercase hex chars")
-        if not _EXTENSION_RE.match(self.extension):
-            raise InvalidInput("extension must match [a-z0-9]{1,10}")
-
-    def render(self) -> str:
-        return f"{self.digest_hex}.{self.extension}"
-
-    @classmethod
-    def parse(cls, rendered: str) -> "OpaqueName":
-        stem, _, ext = rendered.partition(".")
-        return cls(stem, ext)
-
-
-def derive_opaque_name(inputs: NameInputs, key: SecretKey) -> OpaqueName:
+def derive_opaque_name(username: str, timestamp: int, extension: str, key: bytes) -> str:
     """Derive the deterministic storage name for one upload.
 
     The name's 32 hex chars are the MD5 of the raw octet concatenation
-    ``username || decimal(timestamp) || key``, with no separators.
+    ``UTF-8(username) || decimal(timestamp) || key``, with no separators;
+    the extension is checked but not hashed.
     """
-    material = (
-        inputs.username.encode("utf-8")
-        + str(inputs.upload_timestamp).encode("ascii")
-        + key.octets
-    )
-    return OpaqueName(digest_hex=hashlib.md5(material).hexdigest(), extension=inputs.extension)
+    check_username(username)
+    if isinstance(timestamp, bool) or not isinstance(timestamp, int) or timestamp < 0:
+        raise InvalidInput("timestamp must be an integer >= 0")
+    if not _EXTENSION.fullmatch(extension):
+        raise InvalidInput(f"extension {extension!r} must match [a-z0-9]{{1,10}}")
+    digest = hashlib.md5(username.encode() + str(timestamp).encode() + key).hexdigest()
+    return f"{digest}.{extension}"
+
+
+def check_storage_name(text: str) -> str:
+    """``text`` if it has the form a derivation gives, else InvalidInput."""
+    if not (isinstance(text, str) and _STORAGE_NAME.fullmatch(text)):
+        raise InvalidInput("storage name must be 32 lowercase hex chars, '.', [a-z0-9]{1,10}")
+    return text

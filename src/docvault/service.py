@@ -21,7 +21,7 @@ import threading
 import time
 import unicodedata
 import weakref
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from email.utils import formatdate
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -37,6 +37,7 @@ from .errors import (
     DuplicateOpaqueName,
     InvalidCursor,
     InvalidFilename,
+    IoFailure,
     NotFound,
     RangeNotSatisfiable,
     TooLarge,
@@ -45,11 +46,10 @@ from .errors import (
 )
 from .journal import JournalStore
 from .metadata import DocumentRecord, MetadataStore, new_doc_id
-from .naming import NameInputs, SecretKey, derive_opaque_name
+from .naming import SecretKey, derive_opaque_name, extension_for
 from .placement import materialize_layout, open_vault_dir
 
 MAX_NAME_RETRIES = 32
-_FALLBACK_EXTENSION = "bin"
 WRITEBACK_WINDOW = 8 * 1024 * 1024  # an upload starts the writeback of each one it completes
 
 
@@ -90,14 +90,6 @@ def _hashing(sha, size: int):
     finally:
         feed.put(None)
         hasher.join()
-
-
-def extension_for(filename: str) -> str:
-    """Lowercased extension of the upload, or a fixed fallback when absent."""
-    ext = os.path.splitext(filename)[1].lstrip(".").lower()
-    if ext and len(ext) <= 10 and ext.isalnum() and ext.isascii():
-        return ext
-    return _FALLBACK_EXTENSION
 
 
 # C0 and C1 controls, path separators, and lone surrogates (no UTF-8 name holds one)
@@ -161,10 +153,10 @@ class VaultCore:
 
         start = max(now, self.records.last_slot(principal.username, ext) + 1)
         for slot in range(start, start + MAX_NAME_RETRIES):
-            name = derive_opaque_name(NameInputs(principal.username, slot, ext), self.key)
-            if not self.records.name_taken(name.render()):
+            name = derive_opaque_name(principal.username, slot, ext, self.key.octets)
+            if not self.records.name_taken(name):
                 with suppress(FileExistsError):  # a symlink or a FIFO there too
-                    fd = os.open(name.render(), os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                    fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL
                                  | os.O_CLOEXEC, 0o600, dir_fd=self.vault_fd)
                     break
         else:
@@ -204,7 +196,7 @@ class VaultCore:
             )
             self.records.put_record(record)
         except BaseException:
-            self._unlink(name.render())
+            self._unlink(name)
             raise
         return record
 
@@ -247,7 +239,7 @@ class VaultCore:
         # (found by fsck), never a record pointing at nothing.
         if not self.records.delete_record(doc_id):
             raise NotFound(doc_id)
-        self._unlink(record.opaque_name.render())
+        self._unlink(record.opaque_name)
 
 
 def _has_traversal(path: str) -> bool:
@@ -530,8 +522,6 @@ def list_body(records: list[DocumentRecord], next_cursor: str | None) -> bytes:
 
 
 class VaultHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-
     def __init__(self, address, core: VaultCore):
         super().__init__(address, VaultRequestHandler)
         self.core = core
@@ -551,9 +541,16 @@ class VaultService:
         self.config = config
         key = key if key is not None else config.load_key()
         materialize_layout(config.layout())
-        self.journal = JournalStore(config.store_path)
-        self.core = VaultCore(config, key, self.journal)
-        self._server = VaultHTTPServer((config.bind_host, config.bind_port), self.core)
+        address = (config.bind_host, config.bind_port)
+        with ExitStack() as opened:  # closes what was opened if a later step fails
+            self.journal = opened.enter_context(JournalStore(config.store_path))
+            self.core = VaultCore(config, key, self.journal)
+            opened.callback(self.core.close)
+            try:
+                self._server = VaultHTTPServer(address, self.core)
+            except OSError as exc:
+                raise IoFailure("%s:%d" % address, exc) from None
+            opened.pop_all()
         self._thread: threading.Thread | None = None
 
     @property

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import re
+import socket
 import subprocess
 import sys
 from unittest import mock
@@ -11,7 +12,6 @@ from docvault.cli import main
 from docvault.config import load_config
 from docvault.journal import JournalStore
 from docvault.metadata import DocumentRecord, MetadataStore
-from docvault.naming import OpaqueName
 from docvault.placement import emit_deny_config
 
 from conftest import StaticFixtureServer
@@ -41,7 +41,7 @@ def _record(i: int, owner: str) -> DocumentRecord:
         size_bytes=1,
         upload_timestamp=1_000_000 + i,
         slot=1_000_000 + i,
-        opaque_name=OpaqueName(hashlib.md5(b"%d" % i).hexdigest(), "pdf"),
+        opaque_name=hashlib.md5(b"%d" % i).hexdigest() + ".pdf",
         checksum="0" * 64,
     )
 
@@ -292,7 +292,7 @@ class TestFsck:
         journal = JournalStore(env / "store.journal")
         record = MetadataStore(journal).get_by_id(doc_id)
         journal.close()
-        (env / "webroot" / "docs" / record.opaque_name.render()).unlink()
+        (env / "webroot" / "docs" / record.opaque_name).unlink()
         assert main(["fsck"]) == 1
         out = capsys.readouterr().out
         assert "dangling-record" in out and doc_id in out
@@ -306,12 +306,23 @@ class TestFsck:
         journal.close()
         # independent expected checksum for the unflipped content
         assert record.checksum == hashlib.sha256(content).hexdigest()
-        blob = env / "webroot" / "docs" / record.opaque_name.render()
+        blob = env / "webroot" / "docs" / record.opaque_name
         data = bytearray(blob.read_bytes())
         data[3] ^= 0x01
         blob.write_bytes(bytes(data))
         assert main(["fsck"]) == 1
         assert "checksum-mismatch" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["../x.pdf", "a/b.pdf"])
+    def test_tampered_storage_name_is_one_error_line(self, env, capsys, tmp_path, name):
+        main(["init"])
+        doc_id = self._ingest(env, tmp_path, capsys)
+        with JournalStore(env / "store.journal") as journal:
+            journal.put("doc:" + doc_id, journal.get("doc:" + doc_id) | {"opaque_name": name})
+        assert main(["fsck"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_missing_deny_file_reported(self, env, capsys, tmp_path):
         main(["init"])
@@ -431,6 +442,22 @@ class TestServe:
             proc.terminate()
             proc.wait(timeout=5)
             proc.stdout.close()
+
+    def test_port_in_use_is_one_error_line(self, env):
+        """Exit 2 with one line that names the address; under -X dev a file
+        left open would add a ResourceWarning to stderr."""
+        main(["init"])
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            address = "127.0.0.1:%d" % held.getsockname()[1]
+            done = subprocess.run([sys.executable, "-X", "dev", "-m", "docvault.cli", "serve"],
+                                  capture_output=True, timeout=30,
+                                  env={**os.environ, "VAULT_BIND": address})
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert done.stderr.startswith(f"error: {address}: ".encode())
+        assert len(done.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("bind", ["127.0.0.1:99999", "127.0.0.1:-1"])
     def test_out_of_range_port_exit_2(self, env, monkeypatch, capsys, bind):

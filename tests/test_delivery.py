@@ -40,7 +40,7 @@ def stored(tmp_path, content: bytes, **kw):
         checksum=hashlib.sha256(content).hexdigest(),
         **kw,
     )
-    (vault / record.opaque_name.render()).write_bytes(content)
+    (vault / record.opaque_name).write_bytes(content)
     proof = authorize(Principal(record.owner, Role.USER), record, Action.READ)
     _vault_fds.append(os.open(vault, os.O_RDONLY | os.O_DIRECTORY))
     return record, _vault_fds[-1], proof
@@ -158,7 +158,7 @@ class TestStreaming:
 
     def test_blob_missing(self, tmp_path):
         record, vault, proof = stored(tmp_path, b"data")
-        os.unlink(record.opaque_name.render(), dir_fd=vault)
+        os.unlink(record.opaque_name, dir_fd=vault)
         with pytest.raises(BlobMissing):
             stream_document(record, vault, proof)
 
@@ -166,7 +166,7 @@ class TestStreaming:
         content = bytes(range(256)) * 1024
         record, vault, proof = stored(tmp_path, content)
         result = stream_document(record, vault, proof)
-        os.unlink(record.opaque_name.render(), dir_fd=vault)
+        os.unlink(record.opaque_name, dir_fd=vault)
         assert b"".join(result.chunks()) == content
 
     def test_truncated_mid_stream_raises(self, tmp_path):
@@ -174,14 +174,14 @@ class TestStreaming:
         result = stream_document(record, vault, proof)
         chunks = result.chunks()
         assert len(next(chunks)) == CHUNK_SIZE
-        os.truncate(tmp_path / "vault" / record.opaque_name.render(), CHUNK_SIZE + 10)
+        os.truncate(tmp_path / "vault" / record.opaque_name, CHUNK_SIZE + 10)
         assert len(next(chunks)) == 10
         with pytest.raises(BlobMissing):
             next(chunks)
 
     def test_symlink_under_opaque_name_is_missing(self, tmp_path):
         record, vault, proof = stored(tmp_path, b"data")
-        name = record.opaque_name.render()
+        name = record.opaque_name
         outside = tmp_path / "outside.pdf"
         outside.write_bytes(b"data")
         os.unlink(name, dir_fd=vault)
@@ -191,7 +191,7 @@ class TestStreaming:
 
     def test_directory_under_opaque_name_is_missing(self, tmp_path):
         record, vault, proof = stored(tmp_path, b"data")
-        name = record.opaque_name.render()
+        name = record.opaque_name
         os.unlink(name, dir_fd=vault)
         os.mkdir(name, dir_fd=vault)
         with pytest.raises(BlobMissing):
@@ -199,7 +199,7 @@ class TestStreaming:
 
     def test_fifo_under_opaque_name_is_missing(self, tmp_path):
         record, vault, proof = stored(tmp_path, b"data")
-        name = record.opaque_name.render()
+        name = record.opaque_name
         os.unlink(name, dir_fd=vault)
         os.mkfifo(tmp_path / "vault" / name)
         raised = []
@@ -231,7 +231,7 @@ class TestStreaming:
 
     def test_blob_unmodified_by_read(self, tmp_path):
         record, vault, proof = stored(tmp_path, b"read-only data")
-        blob = tmp_path / "vault" / record.opaque_name.render()
+        blob = tmp_path / "vault" / record.opaque_name
         before = blob.stat().st_mtime_ns
         list(stream_document(record, vault, proof).chunks())
         assert blob.read_bytes() == b"read-only data"
@@ -307,7 +307,7 @@ class TestSendfile:
         record, vault, proof = stored(tmp_path, self.content)
         result = stream_document(record, vault, proof)
         fd = result._fd
-        os.truncate(tmp_path / "vault" / record.opaque_name.render(), CHUNK_SIZE + 10)
+        os.truncate(tmp_path / "vault" / record.opaque_name, CHUNK_SIZE + 10)
         with pytest.raises(BlobMissing):
             sent_over_socketpair(result)
         result.close()

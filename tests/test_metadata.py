@@ -24,7 +24,6 @@ from docvault.metadata import (
     check_consistency,
     new_doc_id,
 )
-from docvault.naming import OpaqueName
 from docvault.service import list_body
 
 from conftest import inode
@@ -39,7 +38,7 @@ def make_record(i: int = 0, owner: str = "alice", **kw) -> DocumentRecord:
         media_type="application/pdf",
         size_bytes=10,
         upload_timestamp=1_000_000 + i,
-        opaque_name=OpaqueName(digest, "pdf"),
+        opaque_name=f"{digest}.pdf",
         checksum=hashlib.sha256(b"x" * 10).hexdigest(),
     )
     defaults.update(kw)
@@ -70,16 +69,15 @@ class TestPutGet:
     def test_name_taken(self, store):
         record = make_record()
         store.put_record(record)
-        assert store.name_taken(record.opaque_name.render())
+        assert store.name_taken(record.opaque_name)
 
     def test_absent_opaque_name(self, store):
-        assert not store.name_taken(OpaqueName("0" * 32, "pdf").render())
+        assert not store.name_taken("0" * 32 + ".pdf")
 
     def test_extension_is_part_of_the_name(self, store):
         record = make_record()
         store.put_record(record)
-        other_ext = OpaqueName(record.opaque_name.digest_hex, "txt")
-        assert not store.name_taken(other_ext.render())
+        assert not store.name_taken(record.opaque_name.removesuffix(".pdf") + ".txt")
 
 
 class TestDurability:
@@ -408,7 +406,7 @@ class TestDelete:
         store.put_record(record)
         assert store.delete_record(record.doc_id)
         assert store.get_by_id(record.doc_id) is None
-        assert not store.name_taken(record.opaque_name.render())
+        assert not store.name_taken(record.opaque_name)
 
     def test_delete_absent(self, store):
         assert not store.delete_record("dmissing")
@@ -428,20 +426,20 @@ class TestJournalHook:
             journal.put("doc:" + record.doc_id, record.to_dict())
             assert store.list_all() == ([record], None)
             assert store.get_by_id(record.doc_id) == record
-            assert store.name_taken(record.opaque_name.render())
+            assert store.name_taken(record.opaque_name)
 
             moved = make_record(7, doc_id=record.doc_id, original_filename="moved.pdf")
             journal.put("doc:" + record.doc_id, moved.to_dict())
             assert store.list_all() == ([moved], None)
             assert store.get_by_id(record.doc_id) == moved
-            assert not store.name_taken(record.opaque_name.render())
-            assert store.name_taken(moved.opaque_name.render())
+            assert not store.name_taken(record.opaque_name)
+            assert store.name_taken(moved.opaque_name)
 
             assert journal.delete("doc:" + record.doc_id)
             assert store.list_all() == ([], None)
             assert store.list_by_owner("alice") == ([], None)
             assert store.get_by_id(record.doc_id) is None
-            assert not store.name_taken(moved.opaque_name.render())
+            assert not store.name_taken(moved.opaque_name)
 
     def test_two_stores_on_one_journal_list_the_same_rows(self, tmp_path):
         records = [make_record(i, owner=f"o{i % 2}") for i in range(4)]
@@ -456,7 +454,7 @@ class TestJournalHook:
             for store in (first, second):
                 assert store.list_all() == ([records[0], records[2], records[3]], None)
                 assert store.list_by_owner("o1") == ([records[3]], None)
-                assert not store.name_taken(records[1].opaque_name.render())
+                assert not store.name_taken(records[1].opaque_name)
 
 
     def test_put_after_close_raises_storage_failure(self, tmp_path):
@@ -643,7 +641,7 @@ def _check_bodies(store, page_size: int):
 
 class TestConcurrentPuts:
     def test_no_double_claim(self, store):
-        name = OpaqueName("ab" * 16, "pdf")
+        name = "ab" * 16 + ".pdf"
         outcomes = []
 
         def worker():
@@ -668,7 +666,7 @@ class TestConsistencySweep:
             size_bytes=len(content),
             checksum=hashlib.sha256(content).hexdigest(),
         )
-        (vault / record.opaque_name.render()).write_bytes(content)
+        (vault / record.opaque_name).write_bytes(content)
         store.put_record(record)
         return record
 
@@ -689,7 +687,7 @@ class TestConsistencySweep:
         vault = tmp_path / "vault"
         vault.mkdir()
         record = self._stored(store, vault, b"data")
-        (vault / record.opaque_name.render()).unlink()
+        (vault / record.opaque_name).unlink()
         issues = check_consistency(store, vault)
         assert [i.kind for i in issues] == ["dangling-record"]
         assert issues[0].doc_id == record.doc_id
@@ -705,7 +703,7 @@ class TestConsistencySweep:
         vault = tmp_path / "vault"
         vault.mkdir()
         record = self._stored(store, vault, b"important bytes")
-        blob = vault / record.opaque_name.render()
+        blob = vault / record.opaque_name
         data = bytearray(blob.read_bytes())
         data[0] ^= 0xFF
         blob.write_bytes(bytes(data))
@@ -718,7 +716,7 @@ class TestConsistencySweep:
         vault = tmp_path / "vault"
         vault.mkdir()
         record = self._stored(store, vault, b"same bytes")
-        blob = vault / record.opaque_name.render()
+        blob = vault / record.opaque_name
         target = tmp_path / "outside.pdf"
         blob.rename(target)
         blob.symlink_to(target)
@@ -730,7 +728,7 @@ class TestConsistencySweep:
         vault = tmp_path / "vault"
         vault.mkdir()
         record = self._stored(store, vault, b"data")
-        blob = vault / record.opaque_name.render()
+        blob = vault / record.opaque_name
         blob.unlink()
         os.mkfifo(blob)  # opening it for reading must not wait for a writer
         issues = check_consistency(store, vault)
@@ -750,6 +748,6 @@ class TestConsistencySweep:
         vault = tmp_path / "vault"
         vault.mkdir()
         record = self._stored(store, vault, b"12345")
-        (vault / record.opaque_name.render()).write_bytes(b"123")
+        (vault / record.opaque_name).write_bytes(b"123")
         issues = check_consistency(store, vault)
         assert [i.kind for i in issues] == ["size-mismatch"]

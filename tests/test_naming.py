@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from docvault.errors import InvalidInput, WeakKey
 from docvault.naming import (
     MIN_KEY_OCTETS,
-    NameInputs,
-    OpaqueName,
     SecretKey,
+    check_storage_name,
     derive_opaque_name,
 )
 
@@ -20,7 +19,7 @@ from docvault.naming import (
 # see README "Known-answer note".
 WORKED_EXAMPLE_DIGEST = "7a62beb5dbc0c93368b37df75e6a2b26"
 
-KEY = SecretKey(b"unit-test-secret-key-0123456789")
+KEY = b"unit-test-secret-key-0123456789"
 
 
 def oracle_md5(username: str, ts: int, key: bytes) -> str:
@@ -29,50 +28,49 @@ def oracle_md5(username: str, ts: int, key: bytes) -> str:
 
 class TestDerive:
     def test_worked_example(self):
-        key = SecretKey(b"azsymbabamesa", allow_weak=True)
-        name = derive_opaque_name(NameInputs("iivanov", 1306090530, "pdf"), key)
-        assert name.render() == f"{WORKED_EXAMPLE_DIGEST}.pdf"
+        # the paper's 13-octet key, below a deployed key's minimum, passed as octets
+        name = derive_opaque_name("iivanov", 1306090530, "pdf", b"azsymbabamesa")
+        assert name == f"{WORKED_EXAMPLE_DIGEST}.pdf"
 
     def test_matches_independent_oracle(self):
-        key = SecretKey(b"k0000000000000000")
-        name = derive_opaque_name(NameInputs("alice", 0, "txt"), key)
+        name = derive_opaque_name("alice", 0, "txt", b"k0000000000000000")
         # frozen from: hashlib.md5(b"alice0k0000000000000000").hexdigest()
-        assert name.digest_hex == "d014130a4b90caa30bbac85155859a03"
-        assert name.digest_hex == oracle_md5("alice", 0, b"k0000000000000000")
+        assert name == "d014130a4b90caa30bbac85155859a03.txt"
+        assert name == oracle_md5("alice", 0, b"k0000000000000000") + ".txt"
 
     def test_deterministic(self):
-        inputs = NameInputs("bob", 123456, "pdf")
-        assert derive_opaque_name(inputs, KEY) == derive_opaque_name(inputs, KEY)
+        assert derive_opaque_name("bob", 123456, "pdf", KEY) == derive_opaque_name(
+            "bob", 123456, "pdf", KEY)
 
     def test_extension_not_hashed(self):
-        a = derive_opaque_name(NameInputs("bob", 1, "pdf"), KEY)
-        b = derive_opaque_name(NameInputs("bob", 1, "txt"), KEY)
-        assert a.digest_hex == b.digest_hex
-        assert a.extension != b.extension
+        a = derive_opaque_name("bob", 1, "pdf", KEY)
+        b = derive_opaque_name("bob", 1, "txt", KEY)
+        assert a.removesuffix(".pdf") == b.removesuffix(".txt")
+        assert a != b
 
 
 class TestInputValidation:
     def test_empty_username(self):
         with pytest.raises(InvalidInput):
-            NameInputs("", 1, "pdf")
+            derive_opaque_name("", 1, "pdf", KEY)
 
     def test_nul_in_username(self):
         with pytest.raises(InvalidInput):
-            NameInputs("a\x00b", 1, "pdf")
+            derive_opaque_name("a\x00b", 1, "pdf", KEY)
 
     def test_username_that_is_not_utf8(self):
         # a lone surrogate: what Python makes of an argument that is not UTF-8
         with pytest.raises(InvalidInput):
-            NameInputs("\udcff", 1, "pdf")
+            derive_opaque_name("\udcff", 1, "pdf", KEY)
 
     def test_negative_timestamp(self):
         with pytest.raises(InvalidInput):
-            NameInputs("a", -1, "pdf")
+            derive_opaque_name("a", -1, "pdf", KEY)
 
-    @pytest.mark.parametrize("ext", ["", "PDF", "toolongext1", "p.f", "p f"])
+    @pytest.mark.parametrize("ext", ["", "PDF", "toolongext1", "p.f", "p f", "pdf\n"])
     def test_bad_extension(self, ext):
         with pytest.raises(InvalidInput):
-            NameInputs("a", 1, ext)
+            derive_opaque_name("a", 1, ext, KEY)
 
     def test_short_key_rejected(self):
         with pytest.raises(WeakKey):
@@ -82,6 +80,22 @@ class TestInputValidation:
         key = SecretKey(b"supersecretkeymaterial!!")
         assert b"supersecret" not in repr(key).encode()
         assert b"supersecret" not in str(key).encode()
+
+
+class TestStorageNameCheck:
+    @pytest.mark.parametrize("text", [
+        "../x.pdf", "a/b.pdf", "ab" * 16, "ab" * 16 + ".", "AB" * 16 + ".pdf",
+        "ab" * 16 + ".PDF", "ab" * 16 + ".tar.gz", "ab" * 17 + ".pdf",
+        # a trailing newline, after the extension or after the digest
+        "ab" * 16 + ".pdf\n", "ab" * 16 + "\n.pdf\n",
+    ])
+    def test_other_text_is_refused(self, text):
+        with pytest.raises(InvalidInput):
+            check_storage_name(text)
+
+    def test_a_value_that_is_not_text_is_refused(self):
+        with pytest.raises(InvalidInput):
+            check_storage_name(None)
 
 
 class TestKeyLoading:
@@ -109,22 +123,20 @@ class TestProperties:
     @given(usernames, timestamps, extensions)
     @settings(max_examples=300)
     def test_format_and_roundtrip(self, username, ts, ext):
-        name = derive_opaque_name(NameInputs(username, ts, ext), KEY)
-        rendered = name.render()
-        assert OpaqueName.parse(rendered) == name
+        name = derive_opaque_name(username, ts, ext, KEY)
+        assert check_storage_name(name) == name
 
     @given(usernames, timestamps, extensions)
     @settings(max_examples=200)
     def test_matches_oracle(self, username, ts, ext):
-        name = derive_opaque_name(NameInputs(username, ts, ext), KEY)
-        assert name.digest_hex == oracle_md5(username, ts, KEY.octets)
+        name = derive_opaque_name(username, ts, ext, KEY)
+        assert name == f"{oracle_md5(username, ts, KEY)}.{ext}"
 
-    @given(timestamps, st.integers(min_value=0, max_value=len(KEY.octets) - 1),
+    @given(timestamps, st.integers(min_value=0, max_value=len(KEY) - 1),
            st.integers(min_value=1, max_value=255))
     @settings(max_examples=200, deadline=None)
     def test_key_sensitivity(self, ts, pos, flip):
-        mutated = bytearray(KEY.octets)
+        mutated = bytearray(KEY)
         mutated[pos] ^= flip
-        other = SecretKey(bytes(mutated))
-        inputs = NameInputs("fixeduser", ts, "pdf")
-        assert derive_opaque_name(inputs, KEY) != derive_opaque_name(inputs, other)
+        assert derive_opaque_name("fixeduser", ts, "pdf", KEY) != derive_opaque_name(
+            "fixeduser", ts, "pdf", bytes(mutated))

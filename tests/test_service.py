@@ -25,8 +25,8 @@ from docvault.access import Principal, Role
 from docvault.errors import StorageFailure
 from docvault.journal import JournalStore, ReadOnlyJournal
 from docvault.metadata import MetadataStore, check_consistency
-from docvault.naming import NameInputs, SecretKey, derive_opaque_name
-from docvault.service import VaultCore, VaultRequestHandler, VaultService, extension_for
+from docvault.naming import SecretKey, derive_opaque_name, extension_for
+from docvault.service import VaultCore, VaultRequestHandler, VaultService
 
 from conftest import TEST_KEY, inode, make_config
 
@@ -141,7 +141,7 @@ class TestUpload:
     def test_response_never_reveals_opaque_name(self, svc, user_token):
         resp = upload(svc, user_token, "secret.pdf", b"%PDF-1.4 payload")
         record, = svc.core.records.list_all()[0]
-        opaque = record.opaque_name.render().encode()
+        opaque = record.opaque_name.encode()
         assert opaque not in resp.content
         assert opaque not in json.dumps(dict(resp.headers)).encode()
 
@@ -224,12 +224,23 @@ class TestDownload:
     def test_blob_missing_is_server_error(self, svc, user_token):
         doc = upload(svc, user_token, "a.pdf", b"data").json()
         record = svc.core.records.get_by_id(doc["doc_id"])
-        (svc.core.vault_dir / record.opaque_name.render()).unlink()
+        (svc.core.vault_dir / record.opaque_name).unlink()
         got = requests.get(
             f"{svc.base_url}/documents/{doc['doc_id']}", headers=auth(user_token)
         )
         assert got.status_code == 500
-        assert record.opaque_name.render() not in got.text
+        assert record.opaque_name not in got.text
+
+    @pytest.mark.parametrize("name", ["../x.pdf", "a/b.pdf"])
+    def test_tampered_storage_name_is_internal_error(self, svc, user_token, name):
+        """A stored name that is not of the derived form is never opened."""
+        doc_id = upload(svc, user_token, "a.pdf", b"data").json()["doc_id"]
+        value = svc.core.journal.get("doc:" + doc_id)
+        svc.core.journal.put("doc:" + doc_id, value | {"opaque_name": name})
+        got = requests.get(f"{svc.base_url}/documents/{doc_id}", headers=auth(user_token))
+        assert got.status_code == 500
+        assert got.json() == {"error": "internal error"}
+        assert got.headers["Connection"] == "close"
 
 
 class TestListDelete:
@@ -286,7 +297,7 @@ class TestListDelete:
     def test_delete_removes_blob(self, svc, user_token):
         doc = upload(svc, user_token, "x.pdf", b"data").json()
         record = svc.core.records.get_by_id(doc["doc_id"])
-        blob = svc.core.vault_dir / record.opaque_name.render()
+        blob = svc.core.vault_dir / record.opaque_name
         assert blob.exists()
         requests.delete(f"{svc.base_url}/documents/{doc['doc_id']}", headers=auth(user_token))
         assert not blob.exists()
@@ -399,7 +410,7 @@ class TestStaticIsolation:
     def test_direct_blob_path_404(self, svc, user_token):
         doc = upload(svc, user_token, "x.pdf", b"%PDF-1.4 secret").json()
         record = svc.core.records.get_by_id(doc["doc_id"])
-        name = record.opaque_name.render()
+        name = record.opaque_name
         for path in (f"/docs/{name}", f"/{name}", f"/webroot/docs/{name}"):
             got = requests.get(f"{svc.base_url}{path}", headers=auth(user_token))
             assert got.status_code == 404, path
@@ -476,7 +487,7 @@ class TestOpaqueNameScrubbing:
         created = upload(svc, user_token, "a.pdf", b"%PDF-1.4 one")
         upload(svc, user_token, "b.txt", b"two")
         records = svc.core.records.list_all()[0]
-        names = [r.opaque_name.render() for r in records] + [r.checksum for r in records]
+        names = [r.opaque_name for r in records] + [r.checksum for r in records]
         vault_path = str(svc.core.vault_dir)
         for r in records:
             for secret in (b"opaque_name", b"checksum", vault_path.encode()):
@@ -927,9 +938,9 @@ class TestNameAllocation:
         derived = []
         derive = service.derive_opaque_name
 
-        def counting(inputs, key):
-            derived.append(inputs.upload_timestamp)
-            return derive(inputs, key)
+        def counting(username, timestamp, extension, key):
+            derived.append(timestamp)
+            return derive(username, timestamp, extension, key)
 
         monkeypatch.setattr(service, "derive_opaque_name", counting)
         with JournalStore(vault_config.store_path) as journal:
@@ -988,8 +999,8 @@ class TestNameAllocation:
         ("alice", 123) name the same blob; the second upload retries."""
         first = core.upload(Principal("alice1", Role.USER), "a.pdf", io.BytesIO(b"first"), 5,
                             now=23)
-        assert derive_opaque_name(NameInputs("alice", 123, "pdf"), core.key) == first.opaque_name
-        blob = core.vault_dir / first.opaque_name.render()
+        assert derive_opaque_name("alice", 123, "pdf", core.key.octets) == first.opaque_name
+        blob = core.vault_dir / first.opaque_name
         inode, stored = blob.stat().st_ino, json.dumps(core.journal.get("doc:" + first.doc_id))
 
         second = core.upload(Principal("alice", Role.USER), "b.pdf", io.BytesIO(b"second"), 6,
@@ -1039,21 +1050,20 @@ class TestNameClaim:
             other.close()
         assert len({r.opaque_name for r in records.values()}) == 2
         for c, record in records.items():
-            assert (core.vault_dir / record.opaque_name.render()).read_bytes() == bodies[c]
+            assert (core.vault_dir / record.opaque_name).read_bytes() == bodies[c]
         with ReadOnlyJournal(vault_config.store_path) as journal:
             assert check_consistency(MetadataStore(journal), core.vault_dir) == []
 
     def test_symlink_and_fifo_at_the_next_names_are_skipped(self, core, tmp_path):
         outside = tmp_path / "outside.pdf"
-        link, fifo = (core.vault_dir / derive_opaque_name(NameInputs("alice", ts, "pdf"),
-                                                          core.key).render()
+        link, fifo = (core.vault_dir / derive_opaque_name("alice", ts, "pdf", core.key.octets)
                       for ts in (1000, 1001))
         link.symlink_to(outside)
         os.mkfifo(fifo)
         record = core.upload(Principal("alice", Role.USER), "a.pdf", io.BytesIO(b"body"), 4,
                              now=1000)
         assert record.slot == 1002
-        assert (core.vault_dir / record.opaque_name.render()).read_bytes() == b"body"
+        assert (core.vault_dir / record.opaque_name).read_bytes() == b"body"
         assert os.readlink(link) == str(outside) and not outside.exists()
         assert stat.S_ISFIFO(fifo.lstat().st_mode)
 
@@ -1253,7 +1263,7 @@ class TestMultiChunkDownload:
         def prepare_then_act(record, *args, **kw):
             result = prepare(record, *args, **kw)
             for action in actions:
-                action(svc.core.vault_dir / record.opaque_name.render())
+                action(svc.core.vault_dir / record.opaque_name)
             return result
 
         monkeypatch.setattr(delivery, "stream_document", prepare_then_act)
@@ -1428,7 +1438,7 @@ class TestWritebackWindows:
         record = core.upload(Principal("alice", Role.USER), "big.bin", io.BytesIO(body),
                              len(body))
         assert record.checksum == hashlib.sha256(body).hexdigest()
-        assert (core.vault_dir / record.opaque_name.render()).read_bytes() == body
+        assert (core.vault_dir / record.opaque_name).read_bytes() == body
 
     def test_a_multi_window_body_cut_short_leaves_no_blob_and_no_thread(self, svc, user_token,
                                                                          calls):
@@ -1455,5 +1465,5 @@ class TestDurableEntries:
     def test_blob_then_directory_then_journal(self, core, fsynced, size):
         record = core.upload(Principal("alice", Role.USER), "a.bin",
                              io.BytesIO(b"x" * size), size)
-        blob = core.vault_dir / record.opaque_name.render()
+        blob = core.vault_dir / record.opaque_name
         assert fsynced == [inode(blob), inode(core.vault_dir), inode(core.config.store_path)]
