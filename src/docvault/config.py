@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, IoFailure
 from .naming import SecretKey
 from .placement import PlacementPolicy, VaultLayout, plan_layout
 
@@ -59,9 +59,13 @@ class ServiceConfig:
         return plan_layout(self.policy, self.webroot, self.vault_dir)
 
     def load_key(self) -> SecretKey:
-        """VAULT_KEY_FILE takes precedence over VAULT_KEY; refuse to run keyless."""
+        """VAULT_KEY_FILE takes precedence over VAULT_KEY; refuse to run keyless.
+        A key file that cannot be read raises IoFailure."""
         if self.key_file:
-            return SecretKey.load_file(self.key_file)
+            try:
+                return SecretKey.load_file(self.key_file)
+            except OSError as exc:
+                raise IoFailure(self.key_file, exc) from None
         if self.key_env:
             return SecretKey(self.key_env.encode("utf-8"), source="VAULT_KEY")
         raise ConfigError("no secret key configured (set VAULT_KEY_FILE or VAULT_KEY)")

@@ -10,7 +10,9 @@ tail line (the only corruption a crashed append can leave) ends the replay,
 so every acknowledged write before it survives.  That line and anything
 after it are cut off the file before the next append, which would
 otherwise be glued onto the fragment and lost at the next replay.  Writes
-fsync before returning.
+fsync before returning.  A write or fsync that fails is cut off the file
+too, so a refused change never comes back at the next replay; after a
+failed fsync or cut the journal refuses every write until it is reopened.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ class JournalStore:
         self.view_lock = threading.Lock()  # for _data and the stores; never held across I/O
         self._data: dict[str, dict] = {}
         self._stores: list = []
-        self._fh = None
+        self._fd: int | None = None
+        self._end = 0  # the offset just past the last acknowledged line
+        self._failed = False  # a failed fsync or cut: every write raises until a reopen
         self._open()
 
     def _open(self):
@@ -59,11 +63,13 @@ class JournalStore:
                         fh.truncate(good)
                         os.fsync(fh.fileno())
             # the journal holds every storage name and token hash: owner only
-            self._fh = os.fdopen(os.open(
+            self._fd = os.open(
                 self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_CLOEXEC, 0o600
-            ), "ab")
-            if os.fstat(self._fh.fileno()).st_mode & 0o177:  # a journal made before 0600
-                os.fchmod(self._fh.fileno(), 0o600)
+            )
+            st = os.fstat(self._fd)
+            self._end = st.st_size
+            if st.st_mode & 0o177:  # a journal made before 0600
+                os.fchmod(self._fd, 0o600)
             if not existed:  # the new journal's directory entry
                 parent = os.open(self.path.parent, os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC)
                 try:
@@ -100,15 +106,27 @@ class JournalStore:
         return good
 
     def _append(self, payload: dict):
-        if self._fh is None:
+        if self._fd is None:
             raise StorageFailure(f"store {self.path} is closed")
+        if self._failed:
+            raise StorageFailure(f"store {self.path} refuses writes after a failed sync")
         frame = _frame(payload)
+        written = 0
         try:
-            self._fh.write(frame)
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
+            while written < len(frame):  # O_APPEND: the rest of a short write follows it
+                written += os.write(self._fd, frame[written:])
+            os.fsync(self._fd)
         except OSError as e:
-            raise StorageFailure(f"append to {self.path} failed: {e}")
+            # After a failed fsync the kernel may have dropped the dirty pages
+            # and cleared the error, so a later fsync proves nothing.
+            self._failed = written == len(frame)
+            try:
+                os.ftruncate(self._fd, self._end)
+                os.fsync(self._fd)
+            except OSError:
+                self._failed = True
+            raise StorageFailure(f"append to {self.path} failed: {e}") from None
+        self._end += written
 
     def attach(self, store) -> None:
         """Run ``store.rebuild(items)`` now and ``store.apply(key, old, new)`` after
@@ -147,9 +165,9 @@ class JournalStore:
     def close(self):
         with self.lock:
             self._stores.clear()  # each attached store refers back to this one
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None
 
     def __enter__(self):
         return self

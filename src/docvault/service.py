@@ -50,7 +50,8 @@ from .naming import SecretKey, derive_opaque_name, extension_for
 from .placement import materialize_layout, open_vault_dir
 
 MAX_NAME_RETRIES = 32
-WRITEBACK_WINDOW = 8 * 1024 * 1024  # an upload starts the writeback of each one it completes
+UPLOAD_READ = 1 << 20  # an upload reads its body in pieces of this size
+WRITEBACK_WINDOW = 8 * UPLOAD_READ  # an upload starts the writeback of each one it completes
 
 
 def _writeback_call():
@@ -71,10 +72,11 @@ _start_writeback = _writeback_call()
 
 @contextmanager
 def _hashing(sha, size: int):
-    """Yield the call that feeds ``sha`` a body's chunks in order.  Past one
-    chunk a thread hashes them beside the caller's I/O (sha256 drops the
-    GIL), and it is joined however the caller leaves."""
-    if size <= delivery.CHUNK_SIZE:
+    """Yield the call that feeds ``sha`` a body's pieces in order.  Past one
+    ``UPLOAD_READ`` a thread hashes them beside the caller's I/O (sha256
+    drops the GIL), with at most 8 pieces waiting, and it is joined however
+    the caller leaves."""
+    if size <= UPLOAD_READ:
         yield sha.update
         return
     feed = queue.Queue(8)
@@ -90,6 +92,44 @@ def _hashing(sha, size: int):
     finally:
         feed.put(None)
         hasher.join()
+
+
+class _Reaper:
+    """Unlinks the blobs of deleted records in the vault directory, on one
+    thread that the first name handed over starts, so that no delete waits
+    for its unlink.  It holds no reference to the core, whose close() or
+    finalizer stops it before the directory's fd closes; a name handed over
+    after that is left as an orphan for fsck, as a crash would leave it."""
+
+    def __init__(self, dir_fd: int):
+        self.dir_fd = dir_fd
+        self.names = queue.SimpleQueue()
+        self.lock = threading.Lock()
+        self.thread: threading.Thread | None = None
+        self.stopped = False
+
+    def put(self, name: str) -> None:
+        with self.lock:
+            if self.stopped:
+                return
+            if self.thread is None:
+                self.thread = threading.Thread(target=self._run, daemon=True)
+                self.thread.start()
+            self.names.put(name)
+
+    def _run(self) -> None:
+        for name in iter(self.names.get, None):
+            with suppress(OSError):  # a blob left behind is an orphan for fsck
+                os.unlink(name, dir_fd=self.dir_fd)
+
+    def close(self) -> None:
+        """Unlink every name handed over, then close the directory's fd."""
+        with self.lock:
+            self.stopped = True
+        if self.thread is not None:
+            self.names.put(None)
+            self.thread.join()
+        os.close(self.dir_fd)
 
 
 # C0 and C1 controls, path separators, and lone surrogates (no UTF-8 name holds one)
@@ -111,8 +151,10 @@ class VaultCore:
         self.tokens = TokenStore(journal)
         self.vault_dir = Path(config.vault_dir)
         self.vault_fd = open_vault_dir(self.vault_dir)
-        # close() closes it, and so does dropping a core that was never closed
-        self._close_vault = weakref.finalize(self, os.close, self.vault_fd)
+        self._reaper = _Reaper(self.vault_fd)
+        # close() stops the reaper and closes the fd, and so does dropping a
+        # core that was never closed
+        self._close_vault = weakref.finalize(self, self._reaper.close)
 
     def close(self) -> None:
         self._close_vault()
@@ -130,12 +172,12 @@ class VaultCore:
         The blob is created under its name with O_EXCL, which fails, across
         processes too, on any entry there; a burst of one (owner, extension)
         takes the slots past the newest in the store, and ``upload_timestamp``
-        stays ``now``.  A body of more than one chunk is hashed in a second
-        thread, fed the chunks in order while this one reads, writes and
-        fsyncs; the thread is joined however the upload ends.  Each full
-        ``WRITEBACK_WINDOW`` of the body but its last starts its writeback
-        once written, so the blob's fsync, still what makes it durable, waits
-        only for the tail.  Only the record, put after the fsyncs of the blob
+        stays ``now``.  The body is read in pieces of ``UPLOAD_READ``; one of
+        more than one piece is hashed in a second thread, fed the pieces in
+        order while this one reads, writes and fsyncs, and that thread is
+        joined however the upload ends.  Each full ``WRITEBACK_WINDOW`` of
+        the body but its last starts its writeback once written, so the
+        blob's fsync, still what makes it durable, waits only for the tail.  Only the record, put after the fsyncs of the blob
         and of the vault directory, makes the blob readable: a failed upload
         unlinks it, and a crash leaves an orphan for fsck.  The filename is
         stored NFC; one that is empty, longer than 255 UTF-8 bytes, or holds
@@ -169,7 +211,7 @@ class VaultCore:
             with os.fdopen(fd, "wb") as blob, _hashing(sha, content_length) as update:
                 remaining, window = content_length, 0  # the next writeback's start
                 while remaining > 0:
-                    chunk = content.read(min(delivery.CHUNK_SIZE, remaining))
+                    chunk = content.read(min(UPLOAD_READ, remaining))
                     if not chunk:
                         raise TruncatedBody("request body shorter than declared length")
                     if len(head) < 512:
@@ -196,13 +238,10 @@ class VaultCore:
             )
             self.records.put_record(record)
         except BaseException:
-            self._unlink(name)
+            with suppress(FileNotFoundError):
+                os.unlink(name, dir_fd=self.vault_fd)
             raise
         return record
-
-    def _unlink(self, name: str) -> None:
-        with suppress(FileNotFoundError):
-            os.unlink(name, dir_fd=self.vault_fd)
 
     def _authorized_record(
         self, principal: Principal, doc_id: str, action: Action
@@ -234,12 +273,15 @@ class VaultCore:
         return self.records.list_by_owner(principal.username, cursor=cursor)
 
     def delete_document(self, principal: Principal, doc_id: str) -> None:
+        """Delete the record durably, then hand its blob to the reaper and
+        return without waiting for the unlink, which close() waits for.  The
+        record goes first, so the blob is already unreachable: a crash
+        before the unlink leaves an orphan blob for fsck, never a record
+        pointing at nothing."""
         record, _proof = self._authorized_record(principal, doc_id, Action.DELETE)
-        # Record first, then blob: a crash in between leaves an orphan blob
-        # (found by fsck), never a record pointing at nothing.
         if not self.records.delete_record(doc_id):
             raise NotFound(doc_id)
-        self._unlink(record.opaque_name)
+        self._reaper.put(record.opaque_name)
 
 
 def _has_traversal(path: str) -> bool:

@@ -549,3 +549,17 @@ class TestConfigFile:
         for var in ("VAULT_WEBROOT", "VAULT_DIR", "VAULT_KEY_FILE", "VAULT_STORE"):
             monkeypatch.delenv(var, raising=False)
         assert main(["init"]) == 2
+
+
+class TestKeyFile:
+    @pytest.mark.parametrize("verb", ["ls", "serve"])
+    def test_a_missing_key_file_is_one_error_line(self, env, monkeypatch, capsys, verb):
+        main(["init"])
+        missing = env / "no-such-key"
+        monkeypatch.setenv("VAULT_KEY_FILE", str(missing))
+        capsys.readouterr()
+        assert main([verb]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {missing}: ")
+        assert captured.err.count("\n") == 1

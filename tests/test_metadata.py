@@ -1,8 +1,10 @@
+import errno
 import gc
 import hashlib
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 import threading
@@ -202,6 +204,73 @@ class TestDurability:
             assert s.delete_record(record.doc_id)
         with JournalStore(path) as journal:
             assert MetadataStore(journal).get_by_id(record.doc_id) is None
+
+
+# Put "a", then put "b" under a file size limit that cuts its line short, then
+# lift the limit and put "c".  Nothing is printed while the limit is set, for
+# stdout could be a file that it covers.
+SHORT_WRITE = """
+import os, resource, sys
+from docvault.errors import StorageFailure
+from docvault.journal import JournalStore
+
+with JournalStore(sys.argv[1]) as journal:
+    journal.put("a", {"n": 1})
+    limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (os.path.getsize(sys.argv[1]) + 20, limits[1]))
+    try:
+        journal.put("b", {"n": "x" * 100})
+        refused = False
+    except StorageFailure:
+        refused = True
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+    journal.put("c", {"n": 3})
+print("refused" if refused else "accepted")
+"""
+
+
+class TestRefusedAppend:
+    """A line whose write or fsync fails is cut off the file, so a refused
+    change never comes back at a reopen; after a failed fsync the journal
+    refuses every write until it is reopened."""
+
+    def test_a_short_write_is_cut_off_and_later_writes_survive(self, tmp_path):
+        import docvault
+
+        path = tmp_path / "store.journal"
+        src = str(Path(docvault.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", SHORT_WRITE, str(path)],
+                              capture_output=True, timeout=30,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"refused\n", b"")
+        with JournalStore(path) as journal:
+            assert journal.items() == [("a", {"n": 1}), ("c", {"n": 3})]
+
+    def test_after_a_failed_fsync_every_write_raises_until_a_reopen(self, tmp_path):
+        path = tmp_path / "store.journal"
+        fsync, failed = os.fsync, []
+
+        def fails_once(fd):  # the cut's own fsync succeeds
+            if not failed:
+                failed.append(fd)
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            fsync(fd)
+
+        with JournalStore(path) as journal:
+            journal.put("a", {"n": 1})
+            with mock.patch("os.fsync", fails_once):
+                with pytest.raises(StorageFailure):
+                    journal.put("b", {"n": 2})
+            with pytest.raises(StorageFailure):
+                journal.put("c", {"n": 3})
+            with pytest.raises(StorageFailure):
+                journal.delete("a")
+            assert journal.get("b") is None and journal.get("a") == {"n": 1}
+        with JournalStore(path) as journal:
+            assert journal.items() == [("a", {"n": 1})]
+            journal.put("d", {"n": 4})
+            assert journal.get("d") == {"n": 4}
 
 
 class TestListing:

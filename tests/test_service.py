@@ -13,6 +13,7 @@ import threading
 import time
 import unicodedata
 from contextlib import suppress
+from pathlib import Path
 from urllib.parse import unquote
 
 import pytest
@@ -300,6 +301,7 @@ class TestListDelete:
         blob = svc.core.vault_dir / record.opaque_name
         assert blob.exists()
         requests.delete(f"{svc.base_url}/documents/{doc['doc_id']}", headers=auth(user_token))
+        svc.core.close()  # joins the reaper that unlinks the blob after the reply
         assert not blob.exists()
 
 
@@ -1304,11 +1306,11 @@ class TestMultiChunkDownload:
 
 
 class TestHashBesideTheWrite:
-    """A body of more than one chunk is hashed in a thread of its own, fed
-    the chunks in order; that thread ends with its upload."""
+    """A body of more than one ``UPLOAD_READ`` is hashed in a thread of its
+    own, fed the pieces in order; that thread ends with its upload."""
 
     def test_multi_chunk_body_is_hashed_in_order(self, svc, user_token, monkeypatch, capsys):
-        body = os.urandom(3 * delivery.CHUNK_SIZE + 1)
+        body = os.urandom(2 * service.UPLOAD_READ + 1)
         resp = upload(svc, user_token, "big.bin", body)
         assert resp.status_code == 201
         record = svc.core.records.get_by_id(resp.json()["doc_id"])
@@ -1319,8 +1321,8 @@ class TestHashBesideTheWrite:
         assert handler_threads_done()  # an earlier connection's thread may still be ending
         before = threading.active_count()
         headers = {"Authorization": f"Bearer {user_token}",
-                   "Content-Length": str(3 * delivery.CHUNK_SIZE + 1)}
-        body = b"x" * (2 * delivery.CHUNK_SIZE + 100)
+                   "Content-Length": str(3 * service.UPLOAD_READ + 1)}
+        body = b"x" * (2 * service.UPLOAD_READ + 100)
         raw = raw_exchange(svc, post_request(svc.address, headers, body), half_close=True)
         head, _, reply = raw.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400 ")
@@ -1330,16 +1332,9 @@ class TestHashBesideTheWrite:
         assert threading.active_count() == before
 
     def test_only_a_body_over_one_chunk_starts_a_thread(self, core, monkeypatch):
-        started = []
-
-        class RecordingThread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", RecordingThread)
+        started = recording_threads(monkeypatch)
         alice = Principal("alice", Role.USER)
-        for size, threads in ((delivery.CHUNK_SIZE, 0), (delivery.CHUNK_SIZE + 1, 1)):
+        for size, threads in ((service.UPLOAD_READ, 0), (service.UPLOAD_READ + 1, 1)):
             body = os.urandom(size)
             record = core.upload(alice, "a.bin", io.BytesIO(body), size)
             assert record.checksum == hashlib.sha256(body).hexdigest()
@@ -1467,3 +1462,154 @@ class TestDurableEntries:
                              io.BytesIO(b"x" * size), size)
         blob = core.vault_dir / record.opaque_name
         assert fsynced == [inode(blob), inode(core.vault_dir), inode(core.config.store_path)]
+
+
+def recording_threads(monkeypatch) -> list:
+    """Each thread started from here on."""
+    started = []
+
+    class RecordingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", RecordingThread)
+    return started
+
+
+class TestDeleteOffTheReply:
+    """A delete removes its record durably, replies, and leaves the unlink
+    of its blob to the core's one reaper thread, which close() joins."""
+
+    def test_the_reply_does_not_wait_for_the_unlink(self, svc, user_token, monkeypatch):
+        doc = upload(svc, user_token, "x.pdf", b"data").json()
+        blob = svc.core.vault_dir / svc.core.records.get_by_id(doc["doc_id"]).opaque_name
+        release, unlink = threading.Event(), os.unlink
+
+        def held_unlink(*args, **kwargs):
+            release.wait(10)
+            unlink(*args, **kwargs)
+
+        monkeypatch.setattr(os, "unlink", held_unlink)
+        try:
+            resp = requests.delete(f"{svc.base_url}/documents/{doc['doc_id']}",
+                                   headers=auth(user_token), timeout=3)
+            assert resp.status_code == 200
+            assert blob.exists()
+        finally:
+            release.set()
+        svc.core.close()
+        assert not blob.exists()
+
+    def test_a_failed_unlink_leaves_an_orphan_and_the_next_is_unlinked(self, core,
+                                                                      monkeypatch):
+        alice = Principal("alice", Role.USER)
+        first, second = (core.upload(alice, f"{i}.pdf", io.BytesIO(b"x"), 1) for i in range(2))
+        unlink = os.unlink
+
+        def failing_unlink(name, *args, **kwargs):
+            if name == first.opaque_name:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            unlink(name, *args, **kwargs)
+
+        monkeypatch.setattr(os, "unlink", failing_unlink)
+        core.delete_document(alice, first.doc_id)
+        core.delete_document(alice, second.doc_id)
+        core.close()
+        assert (core.vault_dir / first.opaque_name).exists()
+        assert not (core.vault_dir / second.opaque_name).exists()
+        issues = check_consistency(core.records, core.vault_dir)
+        assert [(i.kind, Path(i.path).name) for i in issues] == [
+            ("orphan-blob", first.opaque_name)]
+
+    def test_only_the_first_delete_starts_a_thread(self, core, monkeypatch):
+        started = recording_threads(monkeypatch)
+        alice = Principal("alice", Role.USER)
+        docs = [core.upload(alice, f"{i}.pdf", io.BytesIO(b"x"), 1) for i in range(3)]
+        result = core.download(alice, docs[0].doc_id)
+        result.close()
+        core.list_documents(alice)
+        assert started == []
+        for doc in docs:
+            core.delete_document(alice, doc.doc_id)
+        assert len(started) == 1
+        core.close()
+        assert not started[0].is_alive()
+        assert sorted(p.name for p in core.vault_dir.iterdir()) == [".htaccess", "index.html"]
+
+    def test_a_core_dropped_unclosed_unlinks_before_its_fd_closes(self, core, monkeypatch):
+        alice = Principal("alice", Role.USER)
+        doc = core.upload(alice, "a.pdf", io.BytesIO(b"x"), 1)
+        started, closed, close = recording_threads(monkeypatch), [], os.close
+
+        def recording_close(fd):
+            closed.append((fd, any(t.is_alive() for t in started)))
+            close(fd)
+
+        dropped = VaultCore(core.config, core.key, core.journal)
+        fd = dropped.vault_fd
+        dropped.delete_document(alice, doc.doc_id)
+        monkeypatch.setattr(os, "close", recording_close)
+        del dropped  # its finalizer stops the reaper, then closes the fd
+        assert closed == [(fd, False)]
+        assert len(started) == 1
+        assert not (core.vault_dir / doc.opaque_name).exists()
+
+    def test_a_delete_after_close_leaves_an_orphan_and_starts_no_thread(self, core,
+                                                                         monkeypatch):
+        """The directory's fd is closed, and its number may be reused: the
+        blob stays for fsck, as after a crash."""
+        alice = Principal("alice", Role.USER)
+        doc = core.upload(alice, "a.pdf", io.BytesIO(b"x"), 1)
+        started = recording_threads(monkeypatch)
+        core.close()
+        core.delete_document(alice, doc.doc_id)
+        assert started == []
+        assert core.records.get_by_id(doc.doc_id) is None
+        assert (core.vault_dir / doc.opaque_name).exists()
+
+    def test_a_refused_delete_keeps_its_record_and_blob(self, core, monkeypatch):
+        alice = Principal("alice", Role.USER)
+        doc = core.upload(alice, "a.pdf", io.BytesIO(b"x"), 1)
+        journal, fsync = inode(core.config.store_path), os.fsync
+
+        def journal_fails(fd):
+            st = os.fstat(fd)
+            if (st.st_dev, st.st_ino) == journal:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            fsync(fd)
+
+        started = recording_threads(monkeypatch)
+        monkeypatch.setattr(os, "fsync", journal_fails)
+        with pytest.raises(StorageFailure):
+            core.delete_document(alice, doc.doc_id)
+        core.close()
+        assert started == []
+        assert core.records.get_by_id(doc.doc_id) == doc
+        assert (core.vault_dir / doc.opaque_name).exists()
+
+
+class TestRefusedJournalChange:
+    """A journal change whose write or fsync fails is cut off the file, so
+    a refused upload does not come back after a restart."""
+
+    def test_a_failed_journal_fsync_refuses_the_upload_for_good(self, core, vault_config,
+                                                                monkeypatch, capsys):
+        journal, fsync, failed = inode(vault_config.store_path), os.fsync, []
+
+        def fails_once(fd):
+            st = os.fstat(fd)
+            if not failed and (st.st_dev, st.st_ino) == journal:
+                failed.append(fd)
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fails_once)
+        with pytest.raises(StorageFailure):
+            core.upload(Principal("alice", Role.USER), "a.pdf", io.BytesIO(b"x"), 1)
+        assert failed
+        core.close()
+        core.journal.close()
+        with JournalStore(vault_config.store_path) as reopened:
+            assert MetadataStore(reopened).list_all()[0] == []
+        assert fsck(vault_config, monkeypatch, capsys) == "clean\n"
