@@ -13,10 +13,14 @@ otherwise be glued onto the fragment and lost at the next replay.  Writes
 fsync before returning.  A write or fsync that fails is cut off the file
 too, so a refused change never comes back at the next replay; after a
 failed fsync or cut the journal refuses every write until it is reopened.
+Another process may append to the same file (the CLI beside a running
+service), so each append holds ``flock(LOCK_EX)`` across its write, fsync
+and cut, and a cut removes only the bytes of its own line.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import threading
@@ -48,7 +52,6 @@ class JournalStore:
         self._data: dict[str, dict] = {}
         self._stores: list = []
         self._fd: int | None = None
-        self._end = 0  # the offset just past the last acknowledged line
         self._failed = False  # a failed fsync or cut: every write raises until a reopen
         self._open()
 
@@ -66,9 +69,7 @@ class JournalStore:
             self._fd = os.open(
                 self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_CLOEXEC, 0o600
             )
-            st = os.fstat(self._fd)
-            self._end = st.st_size
-            if st.st_mode & 0o177:  # a journal made before 0600
+            if os.fstat(self._fd).st_mode & 0o177:  # a journal made before 0600
                 os.fchmod(self._fd, 0o600)
             if not existed:  # the new journal's directory entry
                 parent = os.open(self.path.parent, os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC)
@@ -113,6 +114,7 @@ class JournalStore:
         frame = _frame(payload)
         written = 0
         try:
+            fcntl.flock(self._fd, fcntl.LOCK_EX)  # no other line lands in or after this one
             while written < len(frame):  # O_APPEND: the rest of a short write follows it
                 written += os.write(self._fd, frame[written:])
             os.fsync(self._fd)
@@ -120,13 +122,15 @@ class JournalStore:
             # After a failed fsync the kernel may have dropped the dirty pages
             # and cleared the error, so a later fsync proves nothing.
             self._failed = written == len(frame)
-            try:
-                os.ftruncate(self._fd, self._end)
-                os.fsync(self._fd)
-            except OSError:
-                self._failed = True
+            if written:
+                try:  # O_APPEND left the offset just past what this line wrote
+                    os.ftruncate(self._fd, os.lseek(self._fd, 0, os.SEEK_CUR) - written)
+                    os.fsync(self._fd)
+                except OSError:
+                    self._failed = True
             raise StorageFailure(f"append to {self.path} failed: {e}") from None
-        self._end += written
+        finally:
+            fcntl.flock(self._fd, fcntl.LOCK_UN)
 
     def attach(self, store) -> None:
         """Run ``store.rebuild(items)`` now and ``store.apply(key, old, new)`` after

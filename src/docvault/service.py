@@ -21,6 +21,7 @@ import threading
 import time
 import unicodedata
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager, suppress
 from email.utils import formatdate
 from http import HTTPStatus
@@ -94,42 +95,11 @@ def _hashing(sha, size: int):
         hasher.join()
 
 
-class _Reaper:
-    """Unlinks the blobs of deleted records in the vault directory, on one
-    thread that the first name handed over starts, so that no delete waits
-    for its unlink.  It holds no reference to the core, whose close() or
-    finalizer stops it before the directory's fd closes; a name handed over
-    after that is left as an orphan for fsck, as a crash would leave it."""
-
-    def __init__(self, dir_fd: int):
-        self.dir_fd = dir_fd
-        self.names = queue.SimpleQueue()
-        self.lock = threading.Lock()
-        self.thread: threading.Thread | None = None
-        self.stopped = False
-
-    def put(self, name: str) -> None:
-        with self.lock:
-            if self.stopped:
-                return
-            if self.thread is None:
-                self.thread = threading.Thread(target=self._run, daemon=True)
-                self.thread.start()
-            self.names.put(name)
-
-    def _run(self) -> None:
-        for name in iter(self.names.get, None):
-            with suppress(OSError):  # a blob left behind is an orphan for fsck
-                os.unlink(name, dir_fd=self.dir_fd)
-
-    def close(self) -> None:
-        """Unlink every name handed over, then close the directory's fd."""
-        with self.lock:
-            self.stopped = True
-        if self.thread is not None:
-            self.names.put(None)
-            self.thread.join()
-        os.close(self.dir_fd)
+def _close_vault(reaper: ThreadPoolExecutor, vault_fd: int) -> None:
+    """Wait for every unlink handed to ``reaper``, then close the vault fd,
+    so that no unlink runs on a closed or reused fd number."""
+    reaper.shutdown()
+    os.close(vault_fd)
 
 
 # C0 and C1 controls, path separators, and lone surrogates (no UTF-8 name holds one)
@@ -151,10 +121,12 @@ class VaultCore:
         self.tokens = TokenStore(journal)
         self.vault_dir = Path(config.vault_dir)
         self.vault_fd = open_vault_dir(self.vault_dir)
-        self._reaper = _Reaper(self.vault_fd)
+        # unlinks the blobs of deleted records; its one thread starts with the
+        # first delete, for a start that paid for a thread would slow every core
+        self._reaper = ThreadPoolExecutor(1)
         # close() stops the reaper and closes the fd, and so does dropping a
         # core that was never closed
-        self._close_vault = weakref.finalize(self, self._reaper.close)
+        self._close_vault = weakref.finalize(self, _close_vault, self._reaper, self.vault_fd)
 
     def close(self) -> None:
         self._close_vault()
@@ -177,11 +149,12 @@ class VaultCore:
         order while this one reads, writes and fsyncs, and that thread is
         joined however the upload ends.  Each full ``WRITEBACK_WINDOW`` of
         the body but its last starts its writeback once written, so the
-        blob's fsync, still what makes it durable, waits only for the tail.  Only the record, put after the fsyncs of the blob
-        and of the vault directory, makes the blob readable: a failed upload
-        unlinks it, and a crash leaves an orphan for fsck.  The filename is
-        stored NFC; one that is empty, longer than 255 UTF-8 bytes, or holds
-        a control, ``/`` or ``\\`` is refused.
+        blob's fsync, still what makes it durable, waits only for the tail.
+        Only the record, put after the fsyncs of the blob and of the vault
+        directory, makes the blob readable: a failed upload unlinks it, and
+        a crash leaves an orphan for fsck.  The filename is stored NFC; one
+        that is empty, longer than 255 UTF-8 bytes, or holds a control,
+        ``/`` or ``\\`` is refused.
         """
         if content_length > self.config.max_upload_bytes:
             raise TooLarge(
@@ -281,7 +254,10 @@ class VaultCore:
         record, _proof = self._authorized_record(principal, doc_id, Action.DELETE)
         if not self.records.delete_record(doc_id):
             raise NotFound(doc_id)
-        self._reaper.put(record.opaque_name)
+        # after close() the blob stays for fsck, as after a crash; a failed
+        # unlink, kept in a future that nobody reads, leaves it too
+        with suppress(RuntimeError):
+            self._reaper.submit(os.unlink, record.opaque_name, dir_fd=self.vault_fd)
 
 
 def _has_traversal(path: str) -> bool:

@@ -272,6 +272,62 @@ class TestRefusedAppend:
             journal.put("d", {"n": 4})
             assert journal.get("d") == {"n": 4}
 
+    def test_a_cut_keeps_the_lines_another_store_appended_before_it(self, tmp_path):
+        path = tmp_path / "store.journal"
+        fsync, failed = os.fsync, []
+
+        def fails_once(fd):
+            if not failed:
+                failed.append(fd)
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            fsync(fd)
+
+        with JournalStore(path) as a, JournalStore(path) as b:
+            b.put("x", {"n": 1})
+            a.put("y", {"n": 2})
+            with mock.patch("os.fsync", fails_once):
+                with pytest.raises(StorageFailure):
+                    a.put("z", {"n": 3})
+        with JournalStore(path) as journal:
+            assert journal.items() == [("x", {"n": 1}), ("y", {"n": 2})]
+
+    def test_a_write_that_writes_nothing_cuts_nothing(self, tmp_path):
+        path = tmp_path / "store.journal"
+
+        def full(fd, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with JournalStore(path) as a, JournalStore(path) as b:
+            b.put("x", {"n": 1})
+            with mock.patch("os.write", full):
+                with pytest.raises(StorageFailure):
+                    a.put("y", {"n": 2})
+            a.put("z", {"n": 3})  # nothing reached the file, so no fail-stop
+        with JournalStore(path) as journal:
+            assert journal.items() == [("x", {"n": 1}), ("z", {"n": 3})]
+
+    def test_another_store_waits_out_a_failing_append(self, tmp_path):
+        path = tmp_path / "store.journal"
+        fsync, failed = os.fsync, []
+
+        with JournalStore(path) as a, JournalStore(path) as b:
+            other = threading.Thread(target=b.put, args=("x", {"n": 1}))
+
+            def fails_once(fd):  # b appends while a's line awaits its fsync
+                if not failed:
+                    failed.append(fd)
+                    other.start()
+                    other.join(0.5)
+                    raise OSError(errno.EIO, os.strerror(errno.EIO))
+                fsync(fd)
+
+            with mock.patch("os.fsync", fails_once):
+                with pytest.raises(StorageFailure):
+                    a.put("y", {"n": 2})
+                other.join()
+        with JournalStore(path) as journal:
+            assert journal.items() == [("x", {"n": 1})]
+
 
 class TestListing:
     def test_owner_filter_and_order(self, store):
