@@ -16,6 +16,7 @@ import json
 import os
 import queue
 import re
+import socketserver
 import sys
 import threading
 import time
@@ -25,7 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager, suppress
 from email.utils import formatdate
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import BinaryIO
 from urllib.parse import parse_qs, unquote, urlsplit
@@ -345,44 +345,48 @@ _ROUTES = {
 }
 
 
-class VaultRequestHandler(BaseHTTPRequestHandler):
+class VaultRequestHandler(socketserver.StreamRequestHandler):
     server_version = "DocVault"
 
     # No reply may wait on the client's delayed ACK, which Nagle's algorithm
     # makes a second small write do: TCP_NODELAY on every accepted socket,
     # and a buffered wfile, so that a small reply's status line, headers and
-    # body leave in one write when handle_one_request flushes it after the
-    # verb.  Only a body of at most one chunk passes through wfile; a larger
-    # one is sent by sendfile after the headers.  The buffer is one byte
-    # short of a chunk, so a body of one full chunk goes to the socket
-    # without being copied into it.
+    # body leave in one write when the loop flushes it after the verb.  Only
+    # a body of at most one chunk passes through wfile; a larger one is sent
+    # by sendfile after the headers.  The buffer is one byte short of a
+    # chunk, so a body of one full chunk goes to the socket without being
+    # copied into it.
     disable_nagle_algorithm = True
     wbufsize = delivery.CHUNK_SIZE - 1
     # A read that waits this many seconds for the client ends the connection,
     # after a 408 when it read an upload's body (nginx's default for
     # client_header_timeout and client_body_timeout).
     timeout = 60
+    close_connection = False
 
-    def log_message(self, fmt, *args):  # keep test output quiet
-        pass
-
-    def parse_request(self) -> bool:
-        """Read the head after the request line that handle_one_request read,
-        and answer a bad one with one JSON reply and a close."""
-        status = self._read_head()
-        if status:
-            self.send_error(status)
-        return not status
+    def handle(self):
+        """The keep-alive loop: read a head, run its verb, flush, until EOF.
+        The verb is looked up on each request, where a tracer may have
+        wrapped it."""
+        while not self.close_connection and self.rfile.peek(1):
+            if status := self._read_head():
+                self._write(status, {"error": HTTPStatus(status).phrase.lower()}, close=True)
+            else:
+                getattr(self, "do_" + self.command)()
+            self.wfile.flush()
 
     def _read_head(self) -> int | None:
-        """The status that refuses the head, or None for one read whole.
+        """The status that refuses the request line or head, or None.
 
         Strict where RFC 9112 sections 2.2, 3 and 5 ask, so that no proxy in
         front reads the head otherwise: CRLF line ends only, no obs-fold, no
         space before a colon, no CR or NUL in a value, and exactly one Host.
         ``self.headers`` maps each lowercased field name to its values.
         """
-        line = _REQUEST_LINE.fullmatch(self.raw_requestline.decode("latin-1"))
+        raw = self.rfile.readline(MAX_LINE + 1)
+        if len(raw) > MAX_LINE:
+            return 414
+        line = _REQUEST_LINE.fullmatch(raw.decode("latin-1"))
         if line is None or line[3] == "0":  # HTTP/0.9 has no head to check
             return 400
         self.command, self.path, major, minor = line.groups()
@@ -412,7 +416,7 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
             # cannot sit in the buffer until the final reply.
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
             self.wfile.flush()
-        return None
+        return None if hasattr(self, "do_" + self.command) else 501
 
     def _serve(self):
         """Answer one request: framing, route, error table, then the one writer."""
@@ -434,12 +438,6 @@ class VaultRequestHandler(BaseHTTPRequestHandler):
         finally:
             if isinstance(body, delivery.StreamResult):
                 body.close()  # a body sent, cut short, or never started
-
-    def send_error(self, code, message=None, explain=None):
-        """Refusals of the head (400, 414, 431, 501, 505) leave by the one
-        writer too, never as http.server's HTML page, which can quote the
-        request."""
-        self._write(code, {"error": HTTPStatus(code).phrase.lower()}, close=True)
 
     def _write(self, status: int, body, close: bool) -> None:
         """Write one reply: the head, joined in one string, then the body: a
@@ -539,16 +537,18 @@ def list_body(records: list[DocumentRecord], next_cursor: str | None) -> bytes:
             + b'], "next_cursor": ' + json.dumps(next_cursor).encode("utf-8") + b"}")
 
 
-class VaultHTTPServer(ThreadingHTTPServer):
+class VaultHTTPServer(socketserver.ThreadingTCPServer):
+    daemon_threads = allow_reuse_address = True
+
     def __init__(self, address, core: VaultCore):
         super().__init__(address, VaultRequestHandler)
         self.core = core
 
     def handle_error(self, request, client_address):
-        # A client that goes away ends its connection quietly.  The write
-        # that meets the reset is not the last to raise: handle_one_request
-        # flushes after the verb, and finish() closes the buffered wfile.
-        if not isinstance(sys.exc_info()[1], ConnectionError):
+        # A client that goes away or stalls ends its connection quietly.  The
+        # write that meets a reset is not the last to raise: the loop flushes
+        # after the verb, and finish() closes the buffered wfile.
+        if not isinstance(sys.exc_info()[1], (ConnectionError, TimeoutError)):
             super().handle_error(request, client_address)
 
 

@@ -1194,14 +1194,28 @@ class TestBlobFds:
             assert sock.recv(1024).startswith(b"HTTP/1.1 200 ")
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
 
-        # a result that is prepared but never streamed: the header write fails
-        with monkeypatch.context() as m:
-            def failing_end_headers(handler):
+        # a result that is prepared but never streamed: the head's write fails
+        class FailingWrites:
+            def __init__(self, wfile):
+                self.wfile = wfile
+
+            def write(self, data):
                 raise ConnectionResetError("client went away")
 
-            m.setattr(VaultRequestHandler, "end_headers", failing_end_headers)
-            raw_exchange(svc, (f"GET /documents/{small['doc_id']} HTTP/1.1\r\nHost: x\r\n"
-                               f"Authorization: Bearer {user_token}\r\n\r\n").encode())
+            def __getattr__(self, name):
+                return getattr(self.wfile, name)
+
+        with monkeypatch.context() as m:
+            setup = VaultRequestHandler.setup
+
+            def failing_setup(handler):
+                setup(handler)
+                handler.wfile = FailingWrites(handler.wfile)
+
+            m.setattr(VaultRequestHandler, "setup", failing_setup)
+            raw = raw_exchange(svc, (f"GET /documents/{small['doc_id']} HTTP/1.1\r\nHost: x\r\n"
+                                     f"Authorization: Bearer {user_token}\r\n\r\n").encode())
+        assert raw == b""
 
         assert open_blob_fds(svc.core.vault_dir) == 0
 
