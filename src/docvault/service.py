@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import io
 import json
 import os
 import queue
 import re
+import socket
 import socketserver
 import sys
 import threading
@@ -345,29 +347,57 @@ _ROUTES = {
 }
 
 
+class _Reads(io.RawIOBase):
+    """A connection's reads, under its rfile.  While ``deadline`` is set,
+    each waits until then at most, as well as ``timeout`` at most: one
+    ``readline`` can make many reads."""
+
+    deadline: float | None = None
+
+    def __init__(self, sock: socket.socket, timeout: float):
+        self.sock, self.timeout = sock, timeout
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        if self.deadline is not None:
+            left = self.deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("request head deadline")
+            self.sock.settimeout(min(self.timeout, left))
+        return self.sock.recv_into(buffer)
+
+
 class VaultRequestHandler(socketserver.StreamRequestHandler):
     server_version = "DocVault"
-
-    # No reply may wait on the client's delayed ACK, which Nagle's algorithm
-    # makes a second small write do: TCP_NODELAY on every accepted socket,
-    # and a buffered wfile, so that a small reply's status line, headers and
-    # body leave in one write when the loop flushes it after the verb.  Only
-    # a body of at most one chunk passes through wfile; a larger one is sent
-    # by sendfile after the headers.  The buffer is one byte short of a
-    # chunk, so a body of one full chunk goes to the socket without being
-    # copied into it.
-    disable_nagle_algorithm = True
-    wbufsize = delivery.CHUNK_SIZE - 1
     # A read that waits this many seconds for the client ends the connection,
-    # after a 408 when it read an upload's body (nginx's default for
-    # client_header_timeout and client_body_timeout).
+    # after a 408 when it read an upload's body, and a head must arrive whole
+    # within head_timeout of its first byte (nginx's default for
+    # client_body_timeout, and Apache mod_reqtimeout's for a head).
     timeout = 60
+    head_timeout = 20
     close_connection = False
 
+    def setup(self):
+        # No reply may wait on the client's delayed ACK, which Nagle's
+        # algorithm makes a second small write do: TCP_NODELAY, and a
+        # buffered wfile, so that a small reply's status line, headers and
+        # body leave in one write when the loop flushes it after the verb.
+        # Only a body of at most one chunk passes through wfile; a larger one
+        # is sent by sendfile after the headers.  The buffer is one byte
+        # short of a chunk, so a body of one full chunk goes to the socket
+        # without being copied into it.
+        self.connection = self.request
+        self.connection.settimeout(self.timeout)
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+        self.rfile = io.BufferedReader(_Reads(self.connection, self.timeout))
+        self.wfile = self.connection.makefile("wb", delivery.CHUNK_SIZE - 1)
+
     def handle(self):
-        """The keep-alive loop: read a head, run its verb, flush, until EOF.
-        The verb is looked up on each request, where a tracer may have
-        wrapped it."""
+        """The keep-alive loop: wait ``timeout`` for a request's first byte,
+        read its head, run its verb, flush, until EOF.  The verb is looked
+        up on each request, where a tracer may have wrapped it."""
         while not self.close_connection and self.rfile.peek(1):
             if status := self._read_head():
                 self._write(status, {"error": HTTPStatus(status).phrase.lower()}, close=True)
@@ -376,13 +406,15 @@ class VaultRequestHandler(socketserver.StreamRequestHandler):
             self.wfile.flush()
 
     def _read_head(self) -> int | None:
-        """The status that refuses the request line or head, or None.
+        """The status that refuses the request line or head, or None.  The
+        head must be whole ``head_timeout`` after its first byte came.
 
         Strict where RFC 9112 sections 2.2, 3 and 5 ask, so that no proxy in
         front reads the head otherwise: CRLF line ends only, no obs-fold, no
         space before a colon, no CR or NUL in a value, and exactly one Host.
         ``self.headers`` maps each lowercased field name to its values.
         """
+        self.rfile.raw.deadline = time.monotonic() + self.head_timeout
         raw = self.rfile.readline(MAX_LINE + 1)
         if len(raw) > MAX_LINE:
             return 414
@@ -411,12 +443,25 @@ class VaultRequestHandler(socketserver.StreamRequestHandler):
         connection = fields.get("connection", [""])[0].lower()
         if connection in ("close", "keep-alive"):
             self.close_connection = connection == "close"
-        if fields.get("expect", [""])[0].lower() == "100-continue" and minor != "0":
-            # The client waits for this before it sends the body, so it
-            # cannot sit in the buffer until the final reply.
+        self.expect_continue = (minor != "0" and
+                                fields.get("expect", [""])[0].lower() == "100-continue")
+        self.rfile.raw.deadline = None
+        # only a head that took a second read has shortened the timeout, and
+        # a settimeout on every request would be one more system call
+        if self.connection.gettimeout() != self.timeout:
+            self.connection.settimeout(self.timeout)
+        return None if hasattr(self, "do_" + self.command) else 501
+
+    def read(self, size: int) -> bytes:
+        """The upload body's next bytes, for VaultCore.upload.  A client
+        that sent ``Expect: 100-continue`` waits for an invitation before it
+        sends the body, so the first read sends one: an upload refused
+        before its body is read gets only its final reply."""
+        if self.expect_continue:
+            self.expect_continue = False
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
             self.wfile.flush()
-        return None if hasattr(self, "do_" + self.command) else 501
+        return self.rfile.read(size)
 
     def _serve(self):
         """Answer one request: framing, route, error table, then the one writer."""
@@ -519,7 +564,7 @@ class VaultRequestHandler(socketserver.StreamRequestHandler):
                 raise FilenameRequired()
             if length is None:
                 raise LengthRequired()
-            return 201, core.upload(principal, filename, self.rfile, length).public_row
+            return 201, core.upload(principal, filename, self, length).public_row
         if self.command == "DELETE":
             core.delete_document(principal, doc_id)
             return 200, {"deleted": doc_id}

@@ -602,6 +602,31 @@ class TestEarlyUploadReplies:
             assert sock.recv(65536).startswith(b"HTTP/1.1 201 ")
 
 
+class TestContinueOnlyForABodyRead:
+    """``100 Continue`` invites the body, so it is sent only when an upload
+    is about to read it: an upload refused before then gets one reply."""
+
+    @pytest.mark.parametrize("case,status", [
+        ("no-auth", 401), ("no-filename", 400), ("bad-filename", 400), ("no-length", 411),
+        ("too-large", 413),
+    ])
+    def test_a_refused_upload_gets_only_its_final_reply(self, svc, user_token, vault_config,
+                                                        case, status):
+        headers = {"Authorization": f"Bearer {user_token}", "Content-Length": "5",
+                   "Expect": "100-continue"}
+        target = {"no-filename": "/documents",
+                  "bad-filename": "/documents?filename=a%2Fb.txt"}.get(case, "/documents?filename=a.txt")
+        if case == "no-auth":
+            del headers["Authorization"]
+        elif case == "no-length":
+            del headers["Content-Length"]
+        elif case == "too-large":
+            headers["Content-Length"] = str(vault_config.max_upload_bytes + 1)
+        raw = raw_exchange(svc, post_request(svc.address, headers, target=target))
+        assert raw.count(b"HTTP/1.1 ") == 1, raw
+        assert raw.startswith(f"HTTP/1.1 {status} ".encode())
+
+
 class TestReplyPath:
     """Replies never wait on the client's delayed ACK (Nagle's algorithm)."""
 
@@ -851,6 +876,65 @@ class TestReadTimeout:
         assert json.loads(body) == {"error": "request timeout"}
         assert svc.core.records.list_all()[0] == []
         assert sorted(p.name for p in svc.core.vault_dir.iterdir()) == [".htaccess", "index.html"]
+
+
+def trickle(sock, data: bytes, pace: float = 0.2) -> tuple[bytes | None, float]:
+    """Send ``data`` one byte every ``pace`` seconds until the server answers
+    or closes.  Returns what it sent, b"" for a close, or None when it did
+    neither, and the seconds since the first byte."""
+    sock.settimeout(pace)
+    started = time.monotonic()
+    for byte in data:
+        try:
+            sock.sendall(bytes([byte]))
+            return sock.recv(65536), time.monotonic() - started
+        except TimeoutError:
+            continue
+        except ConnectionError:
+            return b"", time.monotonic() - started
+    return None, time.monotonic() - started
+
+
+class TestHeadDeadline:
+    """A head must arrive whole within ``head_timeout`` of its first byte,
+    however often its bytes come; the wait for the next request is still
+    the whole read timeout."""
+
+    HEAD = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    @pytest.fixture
+    def handler_threads(self, monkeypatch):
+        monkeypatch.setattr(VaultRequestHandler, "timeout", 0.3)
+        monkeypatch.setattr(VaultRequestHandler, "head_timeout", 1, raising=False)
+        threads = []
+        handle = VaultRequestHandler.handle
+
+        def recording_handle(handler):
+            threads.append(threading.current_thread())
+            handle(handler)
+
+        monkeypatch.setattr(VaultRequestHandler, "handle", recording_handle)
+        return threads
+
+    def test_a_head_sent_a_byte_at_a_time_is_closed(self, svc, handler_threads):
+        with socket.create_connection(svc.address) as sock:
+            reply, elapsed = trickle(sock, self.HEAD)
+        assert reply == b"" and elapsed < 1.5
+        [thread] = handler_threads
+        thread.join(timeout=2)
+        assert not thread.is_alive()
+
+    def test_a_slow_head_leaves_the_next_wait_whole(self, svc, handler_threads, monkeypatch):
+        monkeypatch.setattr(VaultRequestHandler, "timeout", 1.0)
+        monkeypatch.setattr(VaultRequestHandler, "head_timeout", 0.6, raising=False)
+        with socket.create_connection(svc.address, timeout=2) as sock:
+            sock.sendall(self.HEAD[:10])
+            time.sleep(0.2)  # the rest takes a second read, under a shorter timeout
+            sock.sendall(self.HEAD[10:])
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")
+            time.sleep(0.8)  # past that shorter timeout, within the whole one
+            reply, elapsed = trickle(sock, self.HEAD)
+        assert reply == b"" and 0.4 < elapsed < 1.0
 
 
 class TestTableReplies:
@@ -1355,19 +1439,20 @@ class TestHashBesideTheWrite:
             assert len(started) == threads
         assert not started[0].is_alive()
 
-    def test_concurrent_uploads_each_hash_their_own_body(self, core):
-        # more uploads than cores, with threads switched often
-        bodies = [os.urandom(4 * delivery.CHUNK_SIZE + i) for i in range(6)]
+    def test_concurrent_uploads_each_hash_their_own_body(self, core, monkeypatch):
+        # more uploads than cores, each hashed in a thread, with threads switched often
+        bodies = [os.urandom(2 * service.UPLOAD_READ + i) for i in range(6)]
         records = [None] * len(bodies)
 
         def put(i):
             records[i] = core.upload(Principal("alice", Role.USER), f"{i}.bin",
                                      io.BytesIO(bodies[i]), len(bodies[i]))
 
+        threads = [threading.Thread(target=put, args=(i,)) for i in range(len(bodies))]
+        hashers = recording_threads(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=put, args=(i,)) for i in range(len(bodies))]
             for t in threads:
                 t.start()
             for t in threads:
@@ -1375,6 +1460,7 @@ class TestHashBesideTheWrite:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
+        assert len(hashers) == len(bodies)
         assert [r.checksum for r in records] == [hashlib.sha256(b).hexdigest() for b in bodies]
 
 
