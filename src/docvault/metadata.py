@@ -102,11 +102,11 @@ class MetadataStore:
 
     def rebuild(self, items) -> None:
         """Index every ``doc:`` entry: one pass, then one sort per key list."""
-        names, keys, owners, slots = {}, [], {}, {}
+        names, keys, owners, slots = set(), [], {}, {}
         for key, v in items:
             if key.startswith(_DOC_PREFIX):
                 ts, owner, rendered = v["upload_timestamp"], v["owner"], v["opaque_name"]
-                names[rendered] = v["doc_id"]
+                names.add(rendered)
                 keys.append((ts, v["doc_id"]))
                 owners.setdefault(owner, []).append(keys[-1])
                 owner_ext, slot = (owner, rendered.partition(".")[2]), v.get("slot", ts)
@@ -124,7 +124,7 @@ class MetadataStore:
             return
         if old is not None:
             self._records.pop(old["doc_id"], None)
-            self._by_name.pop(old["opaque_name"], None)
+            self._by_name.discard(old["opaque_name"])
             index = (old["upload_timestamp"], old["doc_id"])
             owned = self._keys_by_owner[old["owner"]]
             for keys in (self._keys, owned):
@@ -133,7 +133,7 @@ class MetadataStore:
                 del self._keys_by_owner[old["owner"]]
         if new is not None:
             ts, owner, rendered = new["upload_timestamp"], new["owner"], new["opaque_name"]
-            self._by_name[rendered] = new["doc_id"]
+            self._by_name.add(rendered)
             insort(self._keys, (ts, new["doc_id"]))
             insort(self._keys_by_owner.setdefault(owner, []), (ts, new["doc_id"]))
             owner_ext, slot = (owner, rendered.partition(".")[2]), new.get("slot", ts)

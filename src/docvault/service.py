@@ -267,41 +267,20 @@ def _has_traversal(path: str) -> bool:
     return any(seg in ("..", ".") for seg in decoded.split("/") if seg != "")
 
 
-class BadFraming(VaultError):
-    """A Transfer-Encoding, or more than one Content-Length."""
+class Refused(Exception):
+    """A request the handler refuses, raised where it is decided: the reply's
+    status and its message, by default the status phrase in lower case."""
+
+    def __init__(self, status: int, message: str = ""):
+        super().__init__(status)
+        self.status, self.message = status, message or HTTPStatus(status).phrase.lower()
 
 
-class NegativeLength(VaultError):
-    """A Content-Length of a minus sign and digits."""
-
-
-class LengthRequired(VaultError):
-    """An upload without a Content-Length of ASCII digits."""
-
-
-class InvalidPath(VaultError):
-    """A request path with a traversal segment."""
-
-
-class Unauthenticated(VaultError):
-    """No bearer token, or one that names no live token."""
-
-
-class FilenameRequired(VaultError):
-    """An upload that names no filename."""
-
-
-# The reply to each error a request can end in: status, message, and whether
-# the connection closes.  A message never carries the exception's text, which
-# can name a vault path.  Denied and missing documents both raise NotFound,
-# so their replies are the same bytes.
+# The reply to each error raised below the handler: status, message, and
+# whether the connection closes.  A message never carries the exception's
+# text, which can name a vault path.  Denied and missing documents both raise
+# NotFound, so their replies are the same bytes.
 _ERRORS: dict[type, tuple[int, str, bool]] = {
-    BadFraming: (400, "invalid framing", True),
-    NegativeLength: (400, "negative Content-Length", True),
-    LengthRequired: (411, "length required", True),
-    InvalidPath: (400, "invalid path", False),
-    Unauthenticated: (401, "authentication required", False),
-    FilenameRequired: (400, "filename parameter required", False),
     InvalidFilename: (400, "invalid filename", False),
     InvalidCursor: (400, "invalid cursor", False),
     NotFound: (404, "not found", False),
@@ -399,15 +378,19 @@ class VaultRequestHandler(socketserver.StreamRequestHandler):
         read its head, run its verb, flush, until EOF.  The verb is looked
         up on each request, where a tracer may have wrapped it."""
         while not self.close_connection and self.rfile.peek(1):
-            if status := self._read_head():
-                self._write(status, {"error": HTTPStatus(status).phrase.lower()}, close=True)
+            try:
+                self._read_head()
+            except Refused as exc:
+                self._write(exc.status, {"error": exc.message}, close=True)
             else:
                 getattr(self, "do_" + self.command)()
             self.wfile.flush()
 
-    def _read_head(self) -> int | None:
-        """The status that refuses the request line or head, or None.  The
-        head must be whole ``head_timeout`` after its first byte came.
+    def _read_head(self) -> None:
+        """Read the request line and head, and frame the body as
+        ``self.length``, or raise the Refused that ends the connection: a
+        body that cannot be framed ends it on every verb, since no verb reads
+        it.  The head must be whole ``head_timeout`` after its first byte came.
 
         Strict where RFC 9112 sections 2.2, 3 and 5 ask, so that no proxy in
         front reads the head otherwise: CRLF line ends only, no obs-fold, no
@@ -417,32 +400,33 @@ class VaultRequestHandler(socketserver.StreamRequestHandler):
         self.rfile.raw.deadline = time.monotonic() + self.head_timeout
         raw = self.rfile.readline(MAX_LINE + 1)
         if len(raw) > MAX_LINE:
-            return 414
+            raise Refused(414)
         line = _REQUEST_LINE.fullmatch(raw.decode("latin-1"))
         if line is None or line[3] == "0":  # HTTP/0.9 has no head to check
-            return 400
+            raise Refused(400)
         self.command, self.path, major, minor = line.groups()
         if major != "1":
-            return 505
+            raise Refused(505)
         self.close_connection = minor == "0"
         self.headers = fields = {}
         for _ in range(MAX_FIELDS + 1):
             raw = self.rfile.readline(MAX_LINE + 1)
             if len(raw) > MAX_LINE:
-                return 431
+                raise Refused(431)
             if raw == b"\r\n":
                 break
             field = _FIELD_LINE.fullmatch(raw.decode("latin-1"))
             if field is None:
-                return 400
+                raise Refused(400)
             fields.setdefault(field[1].lower(), []).append(field[2].strip(" \t"))
         else:
-            return 431
+            raise Refused(431)
         if len(fields.get("host", ())) != 1:
-            return 400
-        connection = fields.get("connection", [""])[0].lower()
-        if connection in ("close", "keep-alive"):
-            self.close_connection = connection == "close"
+            raise Refused(400)
+        if "connection" in fields:  # a list of options, on any number of lines
+            options = {o.strip(" \t").lower() for v in fields["connection"] for o in v.split(",")}
+            if "close" in options or "keep-alive" in options:
+                self.close_connection = "close" in options
         self.expect_continue = (minor != "0" and
                                 fields.get("expect", [""])[0].lower() == "100-continue")
         self.rfile.raw.deadline = None
@@ -450,7 +434,9 @@ class VaultRequestHandler(socketserver.StreamRequestHandler):
         # a settimeout on every request would be one more system call
         if self.connection.gettimeout() != self.timeout:
             self.connection.settimeout(self.timeout)
-        return None if hasattr(self, "do_" + self.command) else 501
+        if not hasattr(self, "do_" + self.command):
+            raise Refused(501)
+        self.length = self._framing()
 
     def read(self, size: int) -> bytes:
         """The upload body's next bytes, for VaultCore.upload.  A client
@@ -464,11 +450,12 @@ class VaultRequestHandler(socketserver.StreamRequestHandler):
         return self.rfile.read(size)
 
     def _serve(self):
-        """Answer one request: framing, route, error table, then the one writer."""
-        length, close = None, False
+        """Answer one request: route, refusal or error table, then the one writer."""
+        close = False
         try:
-            length = self._framing()
-            status, body = self._route(length)
+            status, body = self._route(self.length)
+        except Refused as exc:
+            status, body = exc.status, {"error": exc.message}
         except (VaultError, OSError) as exc:
             for cls in type(exc).__mro__:  # the most specific entry
                 if cls in _ERRORS:
@@ -479,7 +466,7 @@ class VaultRequestHandler(socketserver.StreamRequestHandler):
             # A body left unread would be parsed as the next request: GET and
             # DELETE never read one, and an upload reads it only when it succeeds.
             self._write(status, body, close or (
-                status != 201 if self.command == "POST" else length))
+                status != 201 if self.command == "POST" else self.length))
         finally:
             if isinstance(body, delivery.StreamResult):
                 body.close()  # a body sent, cut short, or never started
@@ -522,25 +509,25 @@ class VaultRequestHandler(socketserver.StreamRequestHandler):
         """
         lengths = self.headers.get("content-length", ())
         if "transfer-encoding" in self.headers or len(lengths) > 1:
-            raise BadFraming()
+            raise Refused(400, "invalid framing")
         if not lengths:
             return None
         value = lengths[0]
         if not delivery.is_digits(value.removeprefix("-")):
-            raise LengthRequired()
+            raise Refused(411)
         if value.startswith("-"):
-            raise NegativeLength()
+            raise Refused(400, "negative Content-Length")
         try:
             return int(value)
         except ValueError:  # past int()'s digit limit, so past any upload limit
-            raise TooLarge() from None
+            raise Refused(413, "upload too large") from None
 
     def _route(self, length: int | None):
         """Check the path, match the route, authenticate once, then make the
         one VaultCore call.  Returns the status and the body: a JSON value,
         bytes, or a StreamResult."""
         if _has_traversal(self.path):
-            raise InvalidPath()
+            raise Refused(400, "invalid path")
         url = urlsplit(self.path)
         route, doc_id = url.path, None
         if route.startswith("/documents/"):
@@ -553,7 +540,7 @@ class VaultRequestHandler(socketserver.StreamRequestHandler):
         principal = core.tokens.authenticate(
             parse_bearer(self.headers.get("authorization", [None])[0]))
         if principal is None:
-            raise Unauthenticated()
+            raise Refused(401, "authentication required")
         if self.command == "POST":
             try:  # a name is UTF-8; the head was decoded as Latin-1
                 filename = ((parse_qs(url.query, errors="strict").get("filename") or [""])[0]
@@ -561,9 +548,9 @@ class VaultRequestHandler(socketserver.StreamRequestHandler):
             except UnicodeError:
                 raise InvalidFilename() from None
             if not filename:
-                raise FilenameRequired()
+                raise Refused(400, "filename parameter required")
             if length is None:
-                raise LengthRequired()
+                raise Refused(411)
             return 201, core.upload(principal, filename, self, length).public_row
         if self.command == "DELETE":
             core.delete_document(principal, doc_id)

@@ -674,7 +674,8 @@ class TestBodyOnGetAndDelete:
 
     SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
 
-    @pytest.mark.parametrize("framing", ["Content-Length", "Transfer-Encoding"])
+    @pytest.mark.parametrize("framing", ["Content-Length", "Transfer-Encoding",
+                                         "Content-Length-past-int"])
     @pytest.mark.parametrize("route", ["healthz", "list", "download", "delete", "missing"])
     def test_one_response_then_close(self, svc, user_token, route, framing):
         doc = upload(svc, user_token, "a.txt", b"plain text").json()
@@ -685,8 +686,12 @@ class TestBodyOnGetAndDelete:
             "delete": ("DELETE", f"/documents/{doc['doc_id']}"),
             "missing": ("DELETE", "/documents/dmissing"),
         }[route]
-        framing_header = (f"Content-Length: {len(self.SMUGGLED)}"
-                          if framing == "Content-Length" else "Transfer-Encoding: chunked")
+        framing_header = {
+            "Content-Length": f"Content-Length: {len(self.SMUGGLED)}",
+            "Transfer-Encoding": "Transfer-Encoding: chunked",
+            # past int()'s digit limit: refused with a 413 that closes
+            "Content-Length-past-int": "Content-Length: " + "9" * 5000,
+        }[framing]
         raw = raw_exchange(svc, (
             "GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
             f"{method} {target} HTTP/1.1\r\nHost: x\r\n"
@@ -721,6 +726,27 @@ class TestFraming:
         assert head[0] == b"HTTP/1.1 400 Bad Request"
         assert b"Connection: close" in head
         assert svc.core.records.list_all()[0] == []
+
+
+class TestConnectionOptions:
+    """Connection is a list of options, on any number of lines (RFC 9110
+    section 7.6.1): a close anywhere closes the connection after the reply
+    (RFC 9112 section 9.6), and keep-alive keeps an HTTP/1.0 connection open
+    only when no close is there."""
+
+    NEXT = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    @pytest.mark.parametrize("version,fields,replies", [
+        ("1.1", "Connection: TE, close\r\n", 1),
+        ("1.1", "Connection: close, TE\r\n", 1),
+        ("1.1", "Connection: keep-alive\r\nConnection: close\r\n", 1),
+        ("1.0", "Connection: keep-alive, TE\r\n", 2),
+    ], ids=["close-last", "close-first", "close-on-second-line", "http-1.0-keep-alive"])
+    def test_close_anywhere_closes(self, svc, version, fields, replies):
+        raw = raw_exchange(svc, (
+            f"GET /healthz HTTP/{version}\r\nHost: x\r\n{fields}\r\n").encode() + self.NEXT,
+            half_close=True)
+        assert raw.count(b"HTTP/1.1 200 OK") == replies, raw
 
 
 class TestHttpServerRefusals:
