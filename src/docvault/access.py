@@ -29,11 +29,6 @@ class Role(enum.Enum):
     ADMIN = "admin"
 
 
-class Action(enum.Enum):
-    READ = "read"
-    DELETE = "delete"
-
-
 @dataclass(frozen=True)
 class Principal:
     username: str
@@ -49,22 +44,19 @@ class AccessProof:
 
     principal: Principal
     doc_id: str
-    action: Action
 
-    def __init__(self, principal, doc_id, action, _guard=None):
+    def __init__(self, principal, doc_id, _guard=None):
         if _guard is not _GUARD:
             raise TypeError("AccessProof can only be issued by authorize()")
         object.__setattr__(self, "principal", principal)
         object.__setattr__(self, "doc_id", doc_id)
-        object.__setattr__(self, "action", action)
 
 
-def authorize(
-    principal: Principal, record: DocumentRecord, action: Action
-) -> AccessProof | None:
-    """Owner-or-admin policy; returns a proof on Allowed, None on Denied."""
+def authorize(principal: Principal, record: DocumentRecord) -> AccessProof | None:
+    """The one decision for every verb, owner or admin: a proof on Allowed,
+    None on Denied."""
     if principal.role is Role.ADMIN or principal.username == record.owner:
-        return AccessProof(principal, record.doc_id, action, _guard=_GUARD)
+        return AccessProof(principal, record.doc_id, _guard=_GUARD)
     return None
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -118,10 +119,17 @@ def cmd_serve(args) -> int:
     service = VaultService(config)
     host, port = service.address
     print(f"serving on {host}:{port} (policy: {config.policy.value})")
+    # Blocked before start(), so every thread the service starts inherits the
+    # mask and SIGINT or SIGTERM waits for sigwait here: stop() then finishes
+    # the pending unlinks and closes the journal before the exit.
+    signals = {signal.SIGINT, signal.SIGTERM}
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, signals)
     try:
-        service.serve_forever()
-    except KeyboardInterrupt:
+        service.start()
+        signal.sigwait(signals)
         service.stop()
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     return 0
 
 

@@ -155,6 +155,20 @@ def plan_layout(policy: PlacementPolicy, webroot: str, vault_dir: str) -> VaultL
     return VaultLayout(webroot=webroot, vault_dir=vault_dir, artifacts=artifacts)
 
 
+def _protection_fault(path: Path, content: bytes) -> str | None:
+    """What is wrong with the protection file at ``path``: "missing", "not a
+    regular file" (a symlink there is not followed) or "content differs";
+    None when it is a regular file of exactly ``content``."""
+    try:
+        fd, _ = open_blob(None, str(path))
+        with open(fd, "rb") as fh:
+            return None if fh.read() == content else "content differs"
+    except BlobMissing:
+        return "not a regular file" if os.path.lexists(path) else "missing"
+    except OSError as e:
+        raise IoFailure(path, e)
+
+
 def materialize_layout(layout: VaultLayout) -> MaterializeResult:
     """Create the vault directory and write every protection artifact.
 
@@ -180,14 +194,10 @@ def materialize_layout(layout: VaultLayout) -> MaterializeResult:
                 fh.write(content)
                 created.append(str(target))
                 continue
-            fd, _ = open_blob(None, str(target))
-            with open(fd, "rb") as fh:
-                if fh.read() != content:
-                    raise ArtifactConflict(target)
-        except BlobMissing:  # a symlink, a FIFO, a directory
-            raise ArtifactConflict(target) from None
         except OSError as e:
             raise IoFailure(target, e)
+        if _protection_fault(target, content):
+            raise ArtifactConflict(target)
 
     return MaterializeResult(created=tuple(created), already_compliant=not created)
 
@@ -223,21 +233,10 @@ def verify_layout(policy: PlacementPolicy, webroot: str, vault_dir: str) -> list
 
     for name, content in _protection_files(policy):
         target = vault / name
-        rule = "1b" if name == DENY_CONFIG_NAME else "2"
-        try:
-            fd, _ = open_blob(None, str(target))  # a symlink there is not followed
-            with open(fd, "rb") as fh:
-                on_disk = fh.read()
-        except BlobMissing:
-            detail = "not a regular file" if os.path.lexists(target) else "missing"
-            violations.append(LayoutViolation(rule, str(target), f"protection file {detail}"))
-            continue
-        except OSError as e:
-            raise IoFailure(target, e)
-        if on_disk != content:
-            violations.append(
-                LayoutViolation(rule, str(target), "protection file content differs")
-            )
+        fault = _protection_fault(target, content)
+        if fault:
+            rule = "1b" if name == DENY_CONFIG_NAME else "2"
+            violations.append(LayoutViolation(rule, str(target), f"protection file {fault}"))
 
     return violations
 

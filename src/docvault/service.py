@@ -33,7 +33,7 @@ from typing import BinaryIO
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from . import delivery
-from .access import Action, Principal, Role, TokenStore, authorize, parse_bearer
+from .access import Principal, Role, TokenStore, authorize, parse_bearer
 from .config import ServiceConfig
 from .errors import (
     BlobMissing,
@@ -219,12 +219,12 @@ class VaultCore:
         return record
 
     def _authorized_record(
-        self, principal: Principal, doc_id: str, action: Action
+        self, principal: Principal, doc_id: str
     ) -> tuple[DocumentRecord, object]:
         record = self.records.get_by_id(doc_id)
         if record is None:
             raise NotFound(doc_id)
-        proof = authorize(principal, record, action)
+        proof = authorize(principal, record)
         if proof is None:
             # Denied reads as NotFound so non-owners cannot confirm existence.
             raise NotFound(doc_id)
@@ -239,7 +239,7 @@ class VaultCore:
         """Lookup, then authorize, then the range: a denied read fails as
         NotFound before the range is looked at, so a range past the end of
         someone else's document reads as a missing one."""
-        record, proof = self._authorized_record(principal, doc_id, Action.READ)
+        record, proof = self._authorized_record(principal, doc_id)
         return delivery.stream_document(record, self.vault_fd, proof, range_header)
 
     def list_documents(self, principal: Principal, cursor: str | None = None):
@@ -253,7 +253,7 @@ class VaultCore:
         record goes first, so the blob is already unreachable: a crash
         before the unlink leaves an orphan blob for fsck, never a record
         pointing at nothing."""
-        record, _proof = self._authorized_record(principal, doc_id, Action.DELETE)
+        record, _proof = self._authorized_record(principal, doc_id)
         if not self.records.delete_record(doc_id):
             raise NotFound(doc_id)
         # after close() the blob stays for fsck, as after a crash; a failed
@@ -618,9 +618,6 @@ class VaultService:
             target=self._server.serve_forever, args=(0.02,), daemon=True
         )
         self._thread.start()
-
-    def serve_forever(self):
-        self._server.serve_forever()
 
     def stop(self):
         self._server.shutdown()

@@ -2,7 +2,6 @@ import pytest
 
 from docvault.access import (
     AccessProof,
-    Action,
     Principal,
     Role,
     TokenStore,
@@ -83,22 +82,22 @@ class TestAuthenticate:
 class TestAuthorize:
     def test_owner_reads_own(self):
         record = make_record(owner="alice")
-        proof = authorize(Principal("alice", Role.USER), record, Action.READ)
+        proof = authorize(Principal("alice", Role.USER), record)
         assert isinstance(proof, AccessProof)
         assert proof.doc_id == record.doc_id
 
     def test_non_owner_denied(self):
         record = make_record(owner="alice")
-        assert authorize(Principal("mallory", Role.USER), record, Action.READ) is None
+        assert authorize(Principal("mallory", Role.USER), record) is None
 
     def test_admin_deletes_any(self):
         record = make_record(owner="alice")
-        proof = authorize(Principal("root", Role.ADMIN), record, Action.DELETE)
+        proof = authorize(Principal("root", Role.ADMIN), record)
         assert isinstance(proof, AccessProof)
 
     def test_proof_not_forgeable(self):
         with pytest.raises(TypeError):
-            AccessProof(Principal("mallory", Role.USER), "d123", Action.READ)
+            AccessProof(Principal("mallory", Role.USER), "d123")
 
 
 class TestBearerParsing:

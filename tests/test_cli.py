@@ -1,9 +1,12 @@
 import hashlib
 import os
 import re
+import signal
 import socket
 import subprocess
 import sys
+import time
+from contextlib import suppress
 from unittest import mock
 
 import pytest
@@ -13,6 +16,7 @@ from docvault.config import load_config
 from docvault.journal import JournalStore
 from docvault.metadata import DocumentRecord, MetadataStore
 from docvault.placement import emit_deny_config
+from docvault.service import UPLOAD_READ
 
 from conftest import StaticFixtureServer
 
@@ -442,6 +446,39 @@ class TestServe:
             proc.terminate()
             proc.wait(timeout=5)
             proc.stdout.close()
+
+    def test_sigterm_stops_the_service_and_exits_0(self, env, free_port, capsys):
+        """SIGTERM right after a delete: serve stops the service, whose
+        reaper unlinks the deleted blob before the exit, and exits 0."""
+        import requests
+
+        main(["init"])
+        main(["token", "create", "alice"])
+        token = re.search(r"token: (\S+)", capsys.readouterr().out)[1]
+        auth = {"Authorization": f"Bearer {token}"}
+        base = f"http://127.0.0.1:{free_port}"
+        proc = subprocess.Popen([sys.executable, "-m", "docvault.cli", "serve"],
+                                env={**os.environ, "VAULT_BIND": f"127.0.0.1:{free_port}"},
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            for _ in range(100):
+                with suppress(requests.ConnectionError):
+                    requests.get(f"{base}/healthz", timeout=1)
+                    break
+                time.sleep(0.1)
+            up = requests.post(f"{base}/documents?filename=big.bin", headers=auth,
+                               data=os.urandom(3 * UPLOAD_READ + 1), timeout=30)
+            assert up.status_code == 201
+            gone = requests.delete(f"{base}/documents/{up.json()['doc_id']}", headers=auth,
+                                   timeout=10)
+            assert gone.status_code == 200
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=30)
+        assert proc.returncode == 0, err.decode()
+        assert b"Traceback" not in err
+        assert main(["fsck"]) == 0
+        assert capsys.readouterr().out == "clean\n"
 
     def test_port_in_use_is_one_error_line(self, env):
         """Exit 2 with one line that names the address; under -X dev a file

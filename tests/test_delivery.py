@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from docvault.access import Action, Principal, Role, authorize
+from docvault.access import Principal, Role, authorize
 from docvault.delivery import (
     CHUNK_SIZE,
     build_headers,
@@ -41,7 +41,7 @@ def stored(tmp_path, content: bytes, **kw):
         **kw,
     )
     (vault / record.opaque_name).write_bytes(content)
-    proof = authorize(Principal(record.owner, Role.USER), record, Action.READ)
+    proof = authorize(Principal(record.owner, Role.USER), record)
     _vault_fds.append(os.open(vault, os.O_RDONLY | os.O_DIRECTORY))
     return record, _vault_fds[-1], proof
 
@@ -225,7 +225,7 @@ class TestStreaming:
     def test_proof_for_other_document_rejected(self, tmp_path):
         record, vault, _ = stored(tmp_path, b"data")
         other = make_record(99)
-        other_proof = authorize(Principal(other.owner, Role.USER), other, Action.READ)
+        other_proof = authorize(Principal(other.owner, Role.USER), other)
         with pytest.raises(PermissionError):
             stream_document(record, vault, other_proof)
 

@@ -131,6 +131,30 @@ class TestDurability:
             assert journal.get("a") == {"n": 1}
             assert journal.get("b") is None and journal.get("c") is None
 
+    @pytest.mark.parametrize("damage", ["crc-mismatch", "no-crc-prefix"])
+    def test_replay_ends_at_a_line_whose_crc_fails(self, tmp_path, damage):
+        """A byte flipped after framing, or a line without its 8-hex-digit
+        CRC: replay ends there, the reopen cuts that line and every line
+        after it, and a later put survives a second reopen."""
+        path = tmp_path / "store.journal"
+        with JournalStore(path) as journal:
+            journal.put("a", {"n": 1})
+        good_size = path.stat().st_size
+        body = b'{"key":"b","op":"put","value":{"n":2}}'
+        if damage == "crc-mismatch":
+            bad = b"%08x:%s\n" % (zlib.crc32(body), body.replace(b"2", b"3"))
+        else:
+            bad = body + b"\n"
+        later = b'{"key":"c","op":"put","value":{}}'
+        with open(path, "ab") as fh:
+            fh.write(bad + b"%08x:%s\n" % (zlib.crc32(later), later))
+        with JournalStore(path) as journal:
+            assert journal.items() == [("a", {"n": 1})]
+            assert path.stat().st_size == good_size
+            journal.put("d", {"n": 4})
+        with JournalStore(path) as journal:
+            assert journal.items() == [("a", {"n": 1}), ("d", {"n": 4})]
+
     def test_write_after_torn_tail_survives_kill_and_reopen(self, tmp_path):
         path = tmp_path / "store.journal"
         with JournalStore(path) as journal:

@@ -760,14 +760,16 @@ class TestHttpServerRefusals:
         (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: x\r\n\r\n", b"414 Request-URI Too Long"),
         (b"GET /healthz HTTP/1.1\r\n" + b"".join(b"X-%d: y\r\n" % i for i in range(101))
          + b"\r\n", b"431 Request Header Fields Too Large"),
+        (b"GET /healthz HTTP/1.1\r\nHost: x\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+         b"431 Request Header Fields Too Large"),
         (b"PUT /documents HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n",
          b"501 Not Implemented"),
         (b"GET /healthz HTTP/2.0\r\nHost: x\r\n\r\n", b"505 HTTP Version Not Supported"),
         (b"GET /healthz\r\n\r\n", b"400 Bad Request"),
         (b"GET /healthz HTTP/1.1\r\n\r\n", b"400 Bad Request"),
         (b"GET /healthz HTTP/1.1\r\nHost: x\r\nHost: y\r\n\r\n", b"400 Bad Request"),
-    ], ids=["bad-request-line", "long-request-line", "101-fields", "put", "http-2",
-            "http-0.9", "no-host", "two-hosts"])
+    ], ids=["bad-request-line", "long-request-line", "101-fields", "long-field-line", "put",
+            "http-2", "http-0.9", "no-host", "two-hosts"])
     def test_json_reply_then_close(self, svc, request_bytes, status):
         raw = raw_exchange(svc, request_bytes)
         head, _, body = raw.partition(b"\r\n\r\n")
@@ -1126,6 +1128,22 @@ class TestNameAllocation:
         assert blob.stat().st_ino == inode
         assert json.dumps(core.journal.get("doc:" + first.doc_id)) == stored
         assert core.records.get_by_id(first.doc_id) == first
+
+    def test_every_slot_taken_is_409_and_stores_nothing(self, svc, user_token, monkeypatch):
+        """When each of the MAX_NAME_RETRIES slots derives one name whose blob
+        exists, every claim fails: the upload gets 409 and a close, and
+        neither a blob nor a record is stored."""
+        name = "0" * 32 + ".pdf"
+        (svc.core.vault_dir / name).write_bytes(b"held")
+        monkeypatch.setattr(service, "derive_opaque_name", lambda *args: name)
+        resp = upload(svc, user_token, "a.pdf", b"%PDF-1.4")
+        assert resp.status_code == 409
+        assert resp.json() == {"error": "could not allocate a storage name"}
+        assert resp.headers["Connection"] == "close"
+        assert svc.core.records.list_all()[0] == []
+        assert sorted(p.name for p in svc.core.vault_dir.iterdir()) == [
+            ".htaccess", name, "index.html"]
+        assert (svc.core.vault_dir / name).read_bytes() == b"held"
 
 
 class TestNameClaim:
